@@ -32,7 +32,6 @@
 
 #include "bench_common.hpp"
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"

@@ -1,8 +1,9 @@
 // Beyond-paper bench: the fast-path/slow-path queue vs the paper's variants.
 //
 // §3.3's closing suggestion — make the time complexity depend on actual
-// contention rather than n — is implemented in core/wf_queue_fps.hpp using
-// the methodology Kogan & Petrank published the following year. Expected
+// contention rather than n — is wf_queue's optional fast path
+// (wf_queue_fps, core/wf_queue.hpp), built with the methodology Kogan &
+// Petrank published the following year. Expected
 // shape: `WF fps` tracks the lock-free MS queue closely (its common path IS
 // the MS queue plus one announce-array probe) while keeping the wait-free
 // guarantee, and both KP'11 variants trail it; the gap between fps and LF is
@@ -15,7 +16,6 @@
 #include "baseline/ms_queue.hpp"
 #include "bench_common.hpp"
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 
 int main(int argc, char** argv) {
   using namespace kpq;

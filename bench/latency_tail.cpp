@@ -18,7 +18,6 @@
 #include "baseline/locked_queues.hpp"
 #include "baseline/ms_queue.hpp"
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "harness/cli.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"

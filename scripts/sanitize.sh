@@ -73,13 +73,14 @@ for mode in "${modes[@]}"; do
     # Shortcut: TSan over the end-to-end latency pipeline — residency
     # stamping inside the queues, the telemetry pump's concurrent registry
     # scrapes against worker mutation, the flight recorder (including the
-    # crash child), timeline conversion, and the broker's --telemetry mode.
+    # crash child), the raw trace dump and its converter, and the broker's
+    # --telemetry mode.
     # Built with KPQ_TRACE=ON so pump scrapes race-check against live ring
     # writes (own build dir: the tracing default changes codegen everywhere).
     mode=thread
     dir_tag=obs-pipeline
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'ObsResidency|ObsTelemetry|ObsFlight|ObsTimeline|ObsExport|EventLoop|coro_broker_telemetry')
+    filter=(-R 'ObsResidency|ObsTelemetry|ObsFlight|ObsTraceDump|ObsTraceView|ObsExport|EventLoop|coro_broker_telemetry')
   fi
   echo "=== sanitizer: $mode (build-$dir_tag-san) ==="
   cmake -B "build-$dir_tag-san" -G Ninja -DKPQ_SANITIZE="$mode" \

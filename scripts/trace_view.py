@@ -9,17 +9,18 @@ write (src/obs/timeline.hpp documents it):
     ...
     {"metric":"<name>","value":<v>}          (registry lines, optional)
 
-This script performs the same conversion obs::trace_to_timeline performs
-in-process: publish/complete pairs become "X" slices, help episodes become
-"X" slices with an "s"/"f" flow arrow to the victim operation's completion,
-everything else becomes a thread-scoped instant. Open the output at
+This script is the project's one trace-timeline converter: publish/complete
+pairs become "X" slices, help episodes become "X" slices with an "s"/"f"
+flow arrow to the victim operation's completion, everything else becomes a
+thread-scoped instant. Open the output at
 https://ui.perfetto.dev or chrome://tracing.
 
 Usage:
     trace_view.py DUMP [-o OUT.json] [--summary]
 
 With --summary, also prints per-kind event counts, per-thread totals, the
-registry lines, and the flow-arrow count to stderr. Stdlib only.
+registry lines, and the flow-arrow count to stderr. Stdlib only. The
+conversion rules are tested by tests/obs_trace_view_test.py.
 """
 
 import argparse

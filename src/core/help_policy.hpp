@@ -90,8 +90,8 @@ struct help_chunk {
 /// always <= Ceiling+1 slots and wait-freedom keeps its deterministic bound
 /// (a stalled operation is reached after at most ceil(n/1) = n invocations
 /// of each peer even at the minimum width). This mirrors the runtime
-/// patience knob on wf_queue_fps — both adapt WITHIN a compile-time box,
-/// never the box itself.
+/// patience knob of wf_queue's fast path (set_patience) — both adapt WITHIN
+/// a compile-time box, never the box itself.
 template <std::uint32_t Ceiling = 8>
 struct help_chunk_rt {
   static_assert(Ceiling >= 1);

@@ -38,12 +38,23 @@
 // the doorway argument, paper §5.3) — wait-free when the reclaimer is
 // wait-free (hazard pointers are; epoch reclamation bounds only memory, not
 // steps, see reclaim/epoch.hpp).
+//
+// Optional fast path (§3.3's closing suggestion, `wf_queue_fps`): with
+// Options::max_tries_ceiling > 0 every operation first helps one announced
+// peer (cyclic probe), then makes up to `patience` plain Michael–Scott
+// attempts, and only then announces as above. Fast enqueues link nodes with
+// enq_tid == no_tid; fast dequeues claim the sentinel's deqTid with
+// fast_claim_base + tid. help_finish_enq/help_finish_deq finish either kind.
+// With a ceiling of 0 (the default) every fast-path branch and member folds
+// away under `if constexpr`. docs/ALGORITHM.md §3.1 has the design.
 #pragma once
 
 #include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -73,8 +84,12 @@ struct whitebox;
 struct no_hooks {
   /// Called right after an operation descriptor is published in `state` and
   /// before helping starts — the exact point where a thread can stall with
-  /// a pending operation that peers must complete for it.
+  /// a pending operation that peers must complete for it. On a queue with a
+  /// fast path this is the slow-path announce.
   static void after_publish(std::uint32_t /*tid*/, bool /*is_enqueue*/) {}
+  // A hooks struct may also provide `on_fast_attempt(tid, is_enqueue)`,
+  // called once per fast-path attempt; the step-bound tests count these to
+  // prove the runtime patience knob never exceeds its compile-time ceiling.
 };
 
 /// Compile-time switches for the paper's §3.3 enhancements.
@@ -108,7 +123,39 @@ struct wf_options {
   /// before applying CAS in Lines 93 or 149" — skips the descriptor
   /// allocation and the CAS when another helper already completed step (2).
   static constexpr bool precheck_cas = false;
+  /// Fast path: Michael–Scott attempts before announcing on the slow path
+  /// (the paper's MAX_FAILURES patience). This is the *initial* value of a
+  /// runtime knob (set_patience), clamped to [0, max_tries_ceiling].
+  static constexpr std::uint32_t max_tries = 0;
+  /// Hard ceiling on runtime patience: every operation reads the knob once
+  /// and clamps against it, so the step bound stays a compile-time constant.
+  /// 0 compiles the fast path out — the paper's announce-always queue.
+  static constexpr std::uint32_t max_tries_ceiling = 0;
 };
+
+/// The fast-path/slow-path queue's options (wf_queue_fps).
+struct fps_options : wf_options {
+  static constexpr std::uint32_t max_tries = 8;
+  static constexpr std::uint32_t max_tries_ceiling = 64;
+};
+/// Item-residency tracking on for the fast-path/slow-path queue.
+struct fps_options_residency : fps_options {
+  using residency = obs::tick_residency;
+};
+
+/// Fast-path patience from the Options, detected structurally like the
+/// residency policy: an options struct without the members gets 0 (no fast
+/// path).
+template <typename O>
+inline constexpr std::uint32_t max_tries_of = 0;
+template <typename O>
+  requires requires { O::max_tries; }
+inline constexpr std::uint32_t max_tries_of<O> = O::max_tries;
+template <typename O>
+inline constexpr std::uint32_t max_tries_ceiling_of = 0;
+template <typename O>
+  requires requires { O::max_tries_ceiling; }
+inline constexpr std::uint32_t max_tries_ceiling_of<O> = O::max_tries_ceiling;
 
 struct wf_options_no_cache : wf_options {
   static constexpr bool descriptor_cache = false;
@@ -160,6 +207,44 @@ struct wf_counters {
   }
 };
 
+/// Fast/slow path split of a queue with a fast path (owner-thread-updated,
+/// one non-RMW relaxed store per operation). The slow-path share is the
+/// tuner's contention signal for the patience knob: a rising share means
+/// fast-path CAS attempts are being burned by contention.
+struct fps_path_stats {
+  std::uint64_t fast_enqs = 0;
+  std::uint64_t slow_enqs = 0;
+  std::uint64_t fast_deqs = 0;
+  std::uint64_t slow_deqs = 0;
+
+  std::uint64_t ops() const noexcept {
+    return fast_enqs + slow_enqs + fast_deqs + slow_deqs;
+  }
+  double slow_rate() const noexcept {
+    const std::uint64_t n = ops();
+    return n == 0 ? 0.0
+                  : static_cast<double>(slow_enqs + slow_deqs) /
+                        static_cast<double>(n);
+  }
+  fps_path_stats& operator+=(const fps_path_stats& o) noexcept {
+    fast_enqs += o.fast_enqs;
+    slow_enqs += o.slow_enqs;
+    fast_deqs += o.fast_deqs;
+    slow_deqs += o.slow_deqs;
+    return *this;
+  }
+};
+
+namespace detail {
+/// Cold path of the entry-point thread-id check: kept out of line so the
+/// hot path pays one compare and a not-taken branch.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_tid_out_of_range(
+    std::uint32_t tid, std::uint32_t max_threads) {
+  throw std::out_of_range("kpq::wf_queue: thread id " + std::to_string(tid) +
+                          " >= max_threads " + std::to_string(max_threads));
+}
+}  // namespace detail
+
 template <typename T, typename HelpPolicy = help_all,
           typename PhasePolicy = scan_max_phase, typename Reclaimer = hp_domain,
           typename Options = wf_options,
@@ -194,6 +279,18 @@ class wf_queue : public mem_tracked {
   /// the queue, not the options) can hit the same sink.
   using trace_type = typename Options::trace;
 
+  /// Fast-path patience ceiling; 0 means no fast path is compiled.
+  static constexpr std::uint32_t patience_ceiling =
+      max_tries_ceiling_of<Options>;
+  static constexpr bool has_fast_path = patience_ceiling > 0;
+  static_assert(max_tries_of<Options> <= patience_ceiling,
+                "initial patience must respect the compile-time ceiling");
+
+  /// deqTid encoding: no_tid free, [0, n) slow-path claim by that thread,
+  /// fast_claim_base + tid a fast-path claim (no descriptor to complete).
+  /// The constructor caps max_threads below it so the two cannot collide.
+  static constexpr std::int32_t fast_claim_base = 1 << 20;
+
   /// Hazard slots used per thread: head/first, tail/last, next, descriptor,
   /// and the node named by a pending descriptor.
   static constexpr std::uint32_t hp_slots = 5;
@@ -211,9 +308,10 @@ class wf_queue : public mem_tracked {
   /// descriptor allocation from the first one (the Figure 10 bench does).
   /// Attaching later via set_memory_counters() is also exact: construction-
   /// time allocations accumulate into a baseline that the attach replays
-  /// (mem_tracker.hpp).
+  /// (mem_tracker.hpp). Throws std::invalid_argument for max_threads == 0
+  /// (the sentinel is allocated as tid 0) or >= fast_claim_base.
   explicit wf_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
-      : n_(max_threads),
+      : n_(checked_max_threads(max_threads)),
         storage_(max_threads, this),
         reclaim_(max_threads, hp_slots),
         pool_(max_threads, Options::descriptor_cache, this),
@@ -221,7 +319,8 @@ class wf_queue : public mem_tracked {
         phase_(max_threads),
         state_(max_threads),
         stats_(Options::collect_stats ? max_threads : 0),
-        resi_(track_residency ? max_threads : 0) {
+        resi_(track_residency ? max_threads : 0),
+        fast_(max_threads) {
     set_memory_counters(mc);
     node_type* sentinel = alloc_node(0, T{}, no_tid);  // paper line 28
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below —
@@ -271,23 +370,27 @@ class wf_queue : public mem_tracked {
   void enqueue(T value) { enqueue(std::move(value), this_thread_id()); }
 
   void enqueue(T value, std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
-    const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 62
-    node_type* node =
-        alloc_node(tid, std::move(value), static_cast<std::int32_t>(tid));
-    // Residency stamp: written once pre-publication, like value/enq_tid.
-    if constexpr (track_residency) node->enq_ts = residency_type::now();
-    publish(tid, pool_.make(tid, phase, true, true, node));  // line 63
-    if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
-    }
-    Options::hooks::after_publish(tid, /*is_enqueue=*/true);
-    help_.run(*this, tid, phase, g);                         // line 64
-    help_finish_enq(tid, g);                                 // line 65
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
+    if constexpr (has_fast_path) {
+      help_someone(tid, g);  // wait-freedom: one cyclic probe per operation
+      // Fast nodes carry enq_tid == no_tid: helpers fix only the tail.
+      node_type* node = alloc_node(tid, std::move(value), no_tid);
+      // Residency stamp: once, pre-publication; the slow path adopts the
+      // same node, so one stamp covers both paths.
+      if constexpr (track_residency) node->enq_ts = residency_type::now();
+      if (fast_enqueue(tid, node, g)) return;
+      // Slow path: adopt the node (it was never linked) and announce.
+      count_path(tid, /*slow=*/true, /*is_enq=*/true);
+      node->enq_tid = static_cast<std::int32_t>(tid);
+      announce_enq(tid, phase_.next_phase(*this, g, tid), node, g);
+    } else {
+      const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 62
+      node_type* node =
+          alloc_node(tid, std::move(value), static_cast<std::int32_t>(tid));
+      // Residency stamp: written once pre-publication, like value/enq_tid.
+      if constexpr (track_residency) node->enq_ts = residency_type::now();
+      announce_enq(tid, phase, node, g);  // lines 63-65
     }
     if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
   }
@@ -298,35 +401,18 @@ class wf_queue : public mem_tracked {
   std::optional<T> dequeue() { return dequeue(this_thread_id()); }
 
   std::optional<T> dequeue(std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
-    const std::int64_t phase = phase_.next_phase(*this, g, tid);   // line 99
-    publish(tid, pool_.make(tid, phase, true, false, nullptr));    // line 100
-    if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
+    if constexpr (has_fast_path) {
+      help_someone(tid, g);
+      std::optional<T> fast;
+      if (fast_dequeue(tid, g, fast)) return fast;
+      count_path(tid, /*slow=*/true, /*is_enq=*/false);
     }
-    Options::hooks::after_publish(tid, /*is_enqueue=*/false);
-    help_.run(*this, tid, phase, g);                               // line 101
-    help_finish_deq(tid, g);                                       // line 102
-    // Our completed descriptor may still be replaced by an equivalent copy
-    // by a helper finishing stage 2/3 late, so protect before reading.
-    desc_type* d = g.protect(s_desc, state_[tid].get());           // line 103
-    std::optional<T> result;
-    if (d->node != nullptr) {
-      result = d->value;  // §3.4: payload lives in d
-      record_residency(tid, *d);
-    }
-    if constexpr (Options::collect_stats) {
-      if (!result.has_value()) ++stats_[tid]->empty_deqs;
-    }
-    if constexpr (trace_type::enabled) {
-      trace_type::record(tid, obs::trace_kind::deq_complete, phase,
-                         result.has_value() ? 1 : 0);
-    }
-    g.clear(s_desc);
+    const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 99
+    std::optional<T> result = announce_deq(tid, phase, g);  // lines 100-107
     if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
-    return result;  // d->node == nullptr: linearized on an empty queue
+    return result;
   }
 
   // ---------------------------------------------------------------- batched
@@ -350,29 +436,22 @@ class wf_queue : public mem_tracked {
   // would (helpers can complete any prefix for a stalled owner); batching
   // changes cost, never semantics. With scan_max_phase the saving is an
   // O(max_threads) state scan per item; with fetch_add_phase it is the
-  // shared-counter RMW — the cross-thread rendezvous either way.
+  // shared-counter RMW — the cross-thread rendezvous either way. A queue
+  // with a fast path has no native hooks (its items would all announce);
+  // kpq::enqueue_bulk falls back to the per-item loop for it.
 
   /// Enqueue [first, last) under one guard and one phase.
   template <typename It>
+    requires(!has_fast_path)
   void enqueue_bulk(It first, It last, std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     if (first == last) return;
     auto g = reclaim_.enter(tid);
     const std::int64_t phase = phase_.next_phase(*this, g, tid);
     for (; first != last; ++first) {
       node_type* node = alloc_node(tid, *first, static_cast<std::int32_t>(tid));
       if constexpr (track_residency) node->enq_ts = residency_type::now();
-      publish(tid, pool_.make(tid, phase, true, true, node));
-      if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
-      }
-      Options::hooks::after_publish(tid, /*is_enqueue=*/true);
-      help_.run(*this, tid, phase, g);
-      help_finish_enq(tid, g);
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
-      }
+      announce_enq(tid, phase, node, g);
     }
     if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
   }
@@ -380,40 +459,74 @@ class wf_queue : public mem_tracked {
   /// Pop up to `max` items (appended to `out`) under one guard and one
   /// phase; stops at the first empty-linearized dequeue. Returns the count.
   std::size_t dequeue_bulk(std::vector<T>& out, std::size_t max,
-                           std::uint32_t tid) {
-    assert(tid < n_);
+                           std::uint32_t tid)
+    requires(!has_fast_path)
+  {
+    check_tid(tid);
     if (max == 0) return 0;
     auto g = reclaim_.enter(tid);
     const std::int64_t phase = phase_.next_phase(*this, g, tid);
     std::size_t got = 0;
     while (got < max) {
-      publish(tid, pool_.make(tid, phase, true, false, nullptr));
-      if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
-      }
-      Options::hooks::after_publish(tid, /*is_enqueue=*/false);
-      help_.run(*this, tid, phase, g);
-      help_finish_deq(tid, g);
-      desc_type* d = g.protect(s_desc, state_[tid].get());
-      const bool hit = d->node != nullptr;
-      if (hit) {
-        out.push_back(d->value);
-        record_residency(tid, *d);
-      }
-      if constexpr (trace_type::enabled) {
-        trace_type::record(tid, obs::trace_kind::deq_complete, phase,
-                           hit ? 1 : 0);
-      }
-      g.clear(s_desc);
-      if (!hit) {
-        if constexpr (Options::collect_stats) ++stats_[tid]->empty_deqs;
-        break;
-      }
+      std::optional<T> v = announce_deq(tid, phase, g);
+      if (!v.has_value()) break;
+      out.push_back(std::move(*v));
       ++got;
     }
     if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
     return got;
+  }
+
+  // --------------------------------------------------------------- patience
+  // Runtime knob over the fast path's MAX_FAILURES, for contention-adaptive
+  // tuning (scale/tuner.hpp). Safe to call concurrently with operations:
+  // relaxed atomic, each op reads it once and clamps to the compile-time
+  // ceiling, so the wait-free step bound is unconditionally
+  // O(patience_ceiling + announce-and-help). Absent without a fast path.
+
+  /// Set fast-path patience; clamped to [0, patience_ceiling]. 0 means
+  /// every operation announces immediately (pure slow path).
+  void set_patience(std::uint32_t tries) noexcept
+    requires has_fast_path
+  {
+    // kpq-order: relaxed pairs-with none (tuning knob; readers re-clamp to
+    // the compile-time ceiling, so any value they observe is safe)
+    fast_.patience.value.store(
+        tries > patience_ceiling ? patience_ceiling : tries,
+        std::memory_order_relaxed);
+  }
+  std::uint32_t patience() const noexcept
+    requires has_fast_path
+  {
+    // kpq-order: relaxed pairs-with none (tuning knob read; may lag)
+    return fast_.patience.value.load(std::memory_order_relaxed);
+  }
+
+  /// Per-thread fast/slow split (owner-writes; sum is exact at quiescence,
+  /// a momentary estimate during a run — same contract as every counter
+  /// surface in this repo).
+  fps_path_stats path_counters(std::uint32_t tid) const noexcept
+    requires has_fast_path
+  {
+    fps_path_stats s;
+    const auto& c = fast_.path_stats[tid];
+    // kpq-order: relaxed pairs-with none (owner-written statistics; exact
+    // at quiescence, momentary estimate during a run — documented contract)
+    s.fast_enqs = c->fast_enqs.load(std::memory_order_relaxed);
+    // kpq-order: relaxed pairs-with none (statistics, see above)
+    s.slow_enqs = c->slow_enqs.load(std::memory_order_relaxed);
+    // kpq-order: relaxed pairs-with none (statistics, see above)
+    s.fast_deqs = c->fast_deqs.load(std::memory_order_relaxed);
+    // kpq-order: relaxed pairs-with none (statistics, see above)
+    s.slow_deqs = c->slow_deqs.load(std::memory_order_relaxed);
+    return s;
+  }
+  fps_path_stats aggregate_path_counters() const noexcept
+    requires has_fast_path
+  {
+    fps_path_stats total;
+    for (std::uint32_t t = 0; t < n_; ++t) total += path_counters(t);
+    return total;
   }
 
   // ----------------------------------------------------------- observability
@@ -429,6 +542,7 @@ class wf_queue : public mem_tracked {
 
   /// True if the queue looked empty at some point during the call.
   bool empty_hint(std::uint32_t tid) {
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
     node_type* first = g.protect(s_first, head_);
     node_type* last = tail_.load(std::memory_order_seq_cst);
@@ -529,6 +643,202 @@ class wf_queue : public mem_tracked {
   friend struct kpq::testing::whitebox;
 
   using state_slot = std::atomic<desc_type*>;
+
+  // ------------------------------------------------------------ entry checks
+  // `tid` indexes every per-thread array, so an out-of-range id would be
+  // silent memory corruption in a release build. One compare per entry
+  // point; the throw happens before reclaim_.enter, leaving the queue as it
+  // was.
+
+  static std::uint32_t checked_max_threads(std::uint32_t n) {
+    if (n == 0 || n >= static_cast<std::uint32_t>(fast_claim_base)) {
+      throw std::invalid_argument(
+          "kpq::wf_queue: max_threads must be in [1, 2^20)");
+    }
+    return n;
+  }
+  void check_tid(std::uint32_t tid) const {
+    if (tid >= n_) [[unlikely]] {
+      detail::throw_tid_out_of_range(tid, n_);
+    }
+  }
+
+  // --------------------------------------------------------------- announce
+  // The paper's operation once its phase is drawn: publish the descriptor,
+  // help, finish. A queue with a fast path reaches these only after its
+  // fast attempts failed; its probe already helped a peer, so it completes
+  // only its own operation here.
+
+  /// paper lines 63-65
+  template <typename Guard>
+  void announce_enq(std::uint32_t tid, std::int64_t phase, node_type* node,
+                    Guard& g) {
+    publish(tid, pool_.make(tid, phase, true, true, node));  // line 63
+    if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
+    }
+    Options::hooks::after_publish(tid, /*is_enqueue=*/true);
+    if constexpr (has_fast_path) {
+      help_enq(tid, phase, g, tid);
+    } else {
+      help_.run(*this, tid, phase, g);  // line 64
+    }
+    help_finish_enq(tid, g);  // line 65
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
+    }
+  }
+
+  /// paper lines 100-107
+  template <typename Guard>
+  std::optional<T> announce_deq(std::uint32_t tid, std::int64_t phase,
+                                Guard& g) {
+    publish(tid, pool_.make(tid, phase, true, false, nullptr));  // line 100
+    if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
+    }
+    Options::hooks::after_publish(tid, /*is_enqueue=*/false);
+    if constexpr (has_fast_path) {
+      help_deq(tid, phase, g, tid);
+    } else {
+      help_.run(*this, tid, phase, g);  // line 101
+    }
+    help_finish_deq(tid, g);  // line 102
+    // Our completed descriptor may still be replaced by an equivalent copy
+    // by a helper finishing stage 2/3 late, so protect before reading.
+    desc_type* d = g.protect(s_desc, state_[tid].get());  // line 103
+    std::optional<T> result;
+    if (d->node != nullptr) {
+      result = d->value;  // §3.4: payload lives in d
+      record_residency(tid, *d);
+    }
+    if constexpr (Options::collect_stats) {
+      if (!result.has_value()) ++stats_[tid]->empty_deqs;
+    }
+    if constexpr (trace_type::enabled) {
+      trace_type::record(tid, obs::trace_kind::deq_complete, phase,
+                         result.has_value() ? 1 : 0);
+    }
+    g.clear(s_desc);
+    return result;  // d->node == nullptr: linearized on an empty queue
+  }
+
+  // -------------------------------------------------------------- fast path
+  // Compiled only when has_fast_path; docs/ALGORITHM.md §3.1.
+
+  /// One cyclic probe: help whatever announced operation sits at the
+  /// cursor, up to that operation's own phase (fast operations have no
+  /// phase; helping "too much" costs time, never correctness).
+  template <typename Guard>
+  void help_someone(std::uint32_t my, Guard& g) {
+    std::uint32_t& k = fast_.cursor[my].value;  // owner-only
+    const std::uint32_t candidate = k;
+    k = (k + 1 == n_) ? 0 : k + 1;
+    if (candidate == my) return;
+    desc_type* d = g.protect(s_desc, state_[candidate].get());
+    if (!d->pending) return;
+    if (d->enqueue) {
+      help_enq(candidate, d->phase, g, my);
+    } else {
+      help_deq(candidate, d->phase, g, my);
+    }
+  }
+
+  /// Up to patience plain MS link attempts of `node` (enq_tid == no_tid).
+  /// True once linked; the link CAS is the linearization for both paths.
+  template <typename Guard>
+  bool fast_enqueue(std::uint32_t tid, node_type* node, Guard& g) {
+    const std::uint32_t tries = patience_now();
+    for (std::uint32_t attempt = 0; attempt < tries; ++attempt) {
+      on_fast_attempt(tid, /*is_enq=*/true);
+      node_type* last = g.protect(s_last, tail_);
+      node_type* next = last->next.load(std::memory_order_seq_cst);
+      if (last != tail_.load(std::memory_order_seq_cst)) continue;
+      if (next == nullptr) {
+        node_type* expected = nullptr;
+        if (last->next.compare_exchange_strong(expected, node,
+                                               std::memory_order_seq_cst)) {
+          count_path(tid, /*slow=*/false, /*is_enq=*/true);
+          help_finish_enq(tid, g);
+          return true;
+        }
+      } else {
+        help_finish_enq(tid, g);
+      }
+    }
+    return false;
+  }
+
+  /// Up to patience MS dequeue attempts. The claim is the sentinel's
+  /// deqTid, written with a fast marker, so fast and slow dequeues
+  /// serialize through the same write-once field. True once the operation
+  /// completed, with its outcome in `out`.
+  template <typename Guard>
+  bool fast_dequeue(std::uint32_t tid, Guard& g, std::optional<T>& out) {
+    const std::uint32_t tries = patience_now();
+    for (std::uint32_t attempt = 0; attempt < tries; ++attempt) {
+      on_fast_attempt(tid, /*is_enq=*/false);
+      node_type* first = g.protect(s_first, head_);
+      node_type* last = tail_.load(std::memory_order_seq_cst);
+      node_type* next = g.protect(s_next, first->next);
+      if (first != head_.load(std::memory_order_seq_cst)) continue;
+      if (first == last) {
+        if (next == nullptr) {
+          count_path(tid, /*slow=*/false, /*is_enq=*/false);
+          return true;  // empty, like MS
+        }
+        help_finish_enq(tid, g);  // dangling enqueue first
+        continue;
+      }
+      // `next` is safe to read: first == head implies next not yet retired.
+      T value = next->value;
+      const residency_base<track_residency> stamp = *next;
+      std::int32_t expected = no_tid;
+      if (first->deq_tid.compare_exchange_strong(
+              expected, fast_claim_base + static_cast<std::int32_t>(tid),
+              std::memory_order_seq_cst)) {
+        count_path(tid, /*slow=*/false, /*is_enq=*/false);
+        help_finish_deq(tid, g);  // swing head; winner retires the sentinel
+        record_residency(tid, stamp);
+        out = std::move(value);
+        return true;
+      }
+      // Someone else (fast or slow) claimed it: finish them, retry.
+      help_finish_deq(tid, g);
+    }
+    return false;
+  }
+
+  /// The per-operation fast-path budget: knob read once, clamped to the
+  /// compile-time ceiling (the clamp is what keeps the step bound a
+  /// constant even while a tuner stores arbitrary values concurrently).
+  std::uint32_t patience_now() const noexcept {
+    const std::atomic<std::uint32_t>& knob = fast_.patience.value;
+    // kpq-order: relaxed pairs-with none (tuning knob; the clamp below makes
+    // any observed value safe — the step bound stays compile-time constant)
+    const std::uint32_t p = knob.load(std::memory_order_relaxed);
+    return p < patience_ceiling ? p : patience_ceiling;
+  }
+
+  static void on_fast_attempt(std::uint32_t tid, bool is_enq) {
+    if constexpr (requires { Options::hooks::on_fast_attempt(tid, is_enq); }) {
+      Options::hooks::on_fast_attempt(tid, is_enq);
+    }
+  }
+
+  /// Owner-thread, non-RMW path accounting (load + relaxed store).
+  void count_path(std::uint32_t tid, bool slow, bool is_enq) noexcept {
+    auto& c = fast_.path_stats[tid].value;
+    std::atomic<std::uint64_t>& cell = is_enq
+                                           ? (slow ? c.slow_enqs : c.fast_enqs)
+                                           : (slow ? c.slow_deqs : c.fast_deqs);
+    // kpq-order: relaxed pairs-with none (owner-thread statistics cell; the
+    // non-RMW load+store is safe because only `tid` ever writes this cell)
+    cell.store(cell.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  }
 
   // ------------------------------------------------------------- allocation
   // Nodes live wherever the Storage policy puts them (storage/); descriptors
@@ -646,6 +956,14 @@ class wf_queue : public mem_tracked {
     // sees it (Michael 2004 uses the same validate-the-source pattern).
     if (last != tail_.load(std::memory_order_seq_cst)) return;
     const std::int32_t etid = next->enq_tid;           // line 89
+    if constexpr (has_fast_path) {
+      // A fast node has no descriptor: only the tail swing (step 3)
+      // applies, and skipping step 2 is safe because nothing is pending.
+      if (etid == no_tid) {
+        tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
+        return;
+      }
+    }
     assert(etid != no_tid);
     const auto tid = static_cast<std::uint32_t>(etid);
     desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 90
@@ -720,6 +1038,18 @@ class wf_queue : public mem_tracked {
     const std::int32_t dtid =
         first->deq_tid.load(std::memory_order_seq_cst);  // line 144
     if (dtid == no_tid) return;                          // line 145
+    if constexpr (has_fast_path) {
+      // A fast claim has no descriptor: only the head swing (step 3).
+      if (dtid >= fast_claim_base) {
+        if (first == head_.load(std::memory_order_seq_cst) &&
+            next != nullptr &&
+            head_.compare_exchange_strong(first, next,
+                                          std::memory_order_seq_cst)) {
+          retire_node(my, first);
+        }
+        return;
+      }
+    }
     const auto tid = static_cast<std::uint32_t>(dtid);
     desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 146
     if (first == head_.load(std::memory_order_seq_cst) &&
@@ -752,7 +1082,8 @@ class wf_queue : public mem_tracked {
   /// Residency measurement at dequeue-completion: the stamp was taken at
   /// enqueue-publish and carried through help_finish_deq into `d`. Clamped
   /// at zero against cross-core TSC skew (invariant TSC keeps this rare).
-  void record_residency(std::uint32_t tid, const desc_type& d) noexcept {
+  void record_residency(std::uint32_t tid,
+                        const residency_base<track_residency>& d) noexcept {
     if constexpr (track_residency) {
       const std::uint64_t now = residency_type::now();
       resi_.add(tid, now > d.enq_ts ? now - d.enq_ts : 0);
@@ -785,6 +1116,26 @@ class wf_queue : public mem_tracked {
   std::vector<padded<state_slot>> state_;  // paper line 26
   std::vector<padded<wf_counters>> stats_;  // empty unless collect_stats
   obs::residency_probe resi_;  // empty unless track_residency
+
+  /// Fast-path state; an empty member without a fast path.
+  struct path_cells {
+    std::atomic<std::uint64_t> fast_enqs{0};
+    std::atomic<std::uint64_t> slow_enqs{0};
+    std::atomic<std::uint64_t> fast_deqs{0};
+    std::atomic<std::uint64_t> slow_deqs{0};
+  };
+  struct fast_path_state {
+    explicit fast_path_state(std::uint32_t n) : cursor(n), path_stats(n) {}
+    std::vector<padded<std::uint32_t>> cursor;  // help_someone's cursor
+    /// Runtime patience knob (set_patience), starting at Options::max_tries.
+    padded<std::atomic<std::uint32_t>> patience{max_tries_of<Options>};
+    std::vector<padded<path_cells>> path_stats;  // owner-written
+  };
+  struct no_fast_path_state {
+    explicit no_fast_path_state(std::uint32_t /*n*/) {}
+  };
+  [[no_unique_address]] std::conditional_t<has_fast_path, fast_path_state,
+                                           no_fast_path_state> fast_;
 };
 
 // ------------------------------------------------------------------ aliases
@@ -808,5 +1159,13 @@ using wf_queue_opt = wf_queue<T, help_one, fetch_add_phase, R>;
 template <typename T, typename R = hp_domain>
 using wf_queue_opt_residency =
     wf_queue<T, help_one, fetch_add_phase, R, wf_options_residency>;
+
+/// The fast-path/slow-path queue (§3.3's "complexity depends on contention"
+/// suggestion): opt WF's policies under fps_options' patience.
+template <typename T, typename R = hp_domain, typename Options = fps_options,
+          typename Storage = heap_node_storage<
+              T, wf_node<T, obs::residency_policy_t<Options>::enabled>>>
+using wf_queue_fps =
+    wf_queue<T, help_one, fetch_add_phase, R, Options, Storage>;
 
 }  // namespace kpq

@@ -250,7 +250,8 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
                static_cast<double>(t.scan_epoch));
 }
 
-/// wf_queue_fps fast/slow path split (core/wf_queue_fps.hpp) — the tuner's
+/// Fast/slow path split of a wf_queue with a fast path (fps_path_stats,
+/// core/wf_queue.hpp) — the tuner's
 /// contention signal, exported so patience decisions can be audited.
 template <typename F>
 concept fps_path_like = requires(const F& f) {

@@ -1,7 +1,8 @@
 // shard_tuner — the policy half of self-tuning elastic sharding.
 //
 // adaptive.hpp supplies the safe mechanism (epoch-stamped scan tables over a
-// fixed shard pool, a clamped runtime patience knob on wf_queue_fps); this
+// fixed shard pool, a clamped runtime patience knob on wf_queue's fast
+// path, e.g. wf_queue_fps); this
 // header supplies the controller that decides WHEN to use it. It closes the
 // feedback loop left open by ROADMAP item 2: the obs counters (per-shard
 // depth, steal/empty-scan rates, fast/slow path split, helping latency and

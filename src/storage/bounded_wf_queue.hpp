@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "storage/segment_storage.hpp"
 #include "sync/cacheline.hpp"
 #include "sync/thread_registry.hpp"

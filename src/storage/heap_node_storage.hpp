@@ -1,5 +1,5 @@
 // Default node storage: one heap allocation and one reclaimer retirement per
-// node — the exact behavior wf_queue/wf_queue_fps had before the storage
+// node — the exact behavior wf_queue had before the storage
 // layer existed, factored behind the node_storage_for interface
 // (storage_concepts.hpp) so segment_storage can replace it without touching
 // the queue algorithm.

@@ -57,8 +57,9 @@ struct audit_view {
   Node* tail = nullptr;
   std::vector<Desc*> state;  // one per thread slot
   std::uint32_t max_threads = 0;
-  /// wf_queue_fps marks fast-path nodes with enq_tid == -1; set this for
-  /// fps audits so I3 accepts anonymous enqueuers.
+  /// A wf_queue with a fast path (wf_queue_fps) marks fast-path nodes with
+  /// enq_tid == -1; set this for its audits so I3 accepts anonymous
+  /// enqueuers.
   bool allow_anonymous_enqueuers = false;
 };
 

@@ -13,7 +13,6 @@
 #include "core/blocking_adapter.hpp"
 #include "core/queue_concepts.hpp"
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 #include "reclaim/reclaimer_concepts.hpp"

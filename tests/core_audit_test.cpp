@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
 #include "support/whitebox.hpp"
 #include "sync/spin_barrier.hpp"
@@ -78,7 +77,7 @@ TEST(QueueAuditor, DetectsDanglingNode) {
   EXPECT_FALSE(r.ok);
   // Finish the enqueue properly so destruction is clean: publish a matching
   // pending descriptor and let the finisher run.
-  wb::publish(q, 1, wb::max_phase(q, 1) + 1, true, true, n);
+  wb::publish(q, 1, wb::next_phase(q, 1), true, true, n);
   wb::help_finish_enq(q, 0);
   auto r2 = audit(q);
   EXPECT_TRUE(r2.ok) << r2.to_string();

@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/wf_queue_fps.hpp"
+#include "core/wf_queue.hpp"
 #include "harness/workload.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"
@@ -120,7 +120,7 @@ std::atomic<bool> gate_open{true};
 std::atomic<bool> is_frozen{false};
 
 struct freezing_fps_hooks {
-  static void after_slow_publish(std::uint32_t tid, bool /*is_enq*/) {
+  static void after_publish(std::uint32_t tid, bool /*is_enq*/) {
     if (static_cast<std::int64_t>(tid) !=
         frozen_tid.load(std::memory_order_acquire)) {
       return;

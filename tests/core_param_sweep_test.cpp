@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
 #include "sync/spin_barrier.hpp"
 #include "verify/fifo_checker.hpp"

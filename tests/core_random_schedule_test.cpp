@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "harness/workload.hpp"
@@ -26,7 +27,6 @@
 namespace kpq {
 namespace {
 
-using testing::basic_deq_machine;
 using testing::basic_machine;
 using testing::build_machine_for;
 using testing::op_spec;
@@ -107,10 +107,9 @@ check_result run_random(std::uint64_t seed, std::uint32_t logical_threads,
         h.push_back(
             {op_kind::enq, true, t, s.value, current[t]->inv, current[t]->res});
       } else {
-        auto* dm = static_cast<basic_deq_machine<Q>*>(current[t].get());
-        h.push_back({op_kind::deq, dm->result.has_value(), t,
-                     dm->result.value_or(0), current[t]->inv,
-                     current[t]->res});
+        const std::optional<std::uint64_t>& r = current[t]->result;
+        h.push_back({op_kind::deq, r.has_value(), t, r.value_or(0),
+                     current[t]->inv, current[t]->res});
       }
       current[t].reset();
       ++next_op[t];

@@ -41,7 +41,7 @@ TEST(Figure3Enqueue, StepByStep) {
 
   // -- Figure 3b: thread 3 chooses a phase and publishes its descriptor
   //    (paper lines 62-63). Nothing in the list changes yet.
-  const std::int64_t phase = wb::max_phase(*q, 3) + 1;
+  const std::int64_t phase = wb::next_phase(*q, 3);
   auto* node400 = wb::make_node(*q, 400, 3);
   wb::publish(*q, 3, phase, /*pending=*/true, /*enq=*/true, node400);
 
@@ -86,7 +86,7 @@ TEST(Figure3Enqueue, AbandonedAfterPublishIsCompletedByHelpEnq) {
   // Thread 3 "crashes" right after Figure 3b; a helper running help_enq
   // must execute all three steps on its behalf.
   auto* q = make_fig3a_queue();
-  const std::int64_t phase = wb::max_phase(*q, 3) + 1;
+  const std::int64_t phase = wb::next_phase(*q, 3);
   auto* node400 = wb::make_node(*q, 400, 3);
   wb::publish(*q, 3, phase, true, true, node400);
 
@@ -103,7 +103,7 @@ TEST(Figure3Enqueue, AbandonedAfterLinkIsCompletedByAnyOperation) {
   // Any other thread's next operation must first finish the dangling
   // enqueue (paper lines 79-80 / 122-123) before proceeding.
   auto* q = make_fig3a_queue();
-  const std::int64_t phase = wb::max_phase(*q, 3) + 1;
+  const std::int64_t phase = wb::next_phase(*q, 3);
   auto* node400 = wb::make_node(*q, 400, 3);
   wb::publish(*q, 3, phase, true, true, node400);
   auto* last = wb::tail(*q);
@@ -130,7 +130,7 @@ TEST(Figure5Dequeue, StepByStep) {
 
   // -- Figure 5a: thread 1 publishes a pending dequeue descriptor with a
   //    null node reference (paper lines 99-100).
-  const std::int64_t phase = wb::max_phase(*q, 1) + 1;
+  const std::int64_t phase = wb::next_phase(*q, 1);
   wb::publish(*q, 1, phase, /*pending=*/true, /*enq=*/false, nullptr);
   EXPECT_TRUE(wb::state(*q, 1)->pending);
   EXPECT_FALSE(wb::state(*q, 1)->enqueue);
@@ -165,7 +165,7 @@ TEST(Figure5Dequeue, ManualStagesMatchSubfigures) {
   // Replay stages (0)-(1) by hand to pin the exact intermediate states of
   // Figures 5b and 5c, then let help_finish_deq do 5d/5e.
   auto* q = make_fig3a_queue();
-  const std::int64_t phase = wb::max_phase(*q, 1) + 1;
+  const std::int64_t phase = wb::next_phase(*q, 1);
   wb::publish(*q, 1, phase, true, false, nullptr);
 
   auto* dummy = wb::head(*q);
@@ -196,7 +196,7 @@ TEST(Figure5Dequeue, AbandonedAfterClaimIsCompletedByAnyOperation) {
   // Thread 1 crashes after stage (1) (deqTid claimed, head stale). The next
   // public-API operation must finish stages (2)-(3) for it.
   auto* q = make_fig3a_queue();
-  const std::int64_t phase = wb::max_phase(*q, 1) + 1;
+  const std::int64_t phase = wb::next_phase(*q, 1);
   auto* dummy = wb::head(*q);
   wb::publish(*q, 1, phase, true, false, dummy);
   std::int32_t expected = no_tid;
@@ -216,7 +216,7 @@ TEST(EmptyDequeue, HelperMarksEmptyInState) {
   // dequeue on an empty queue must record "empty" (null node) in the
   // owner's state rather than raising anything in its own context.
   queue q(4);
-  const std::int64_t phase = wb::max_phase(q, 1) + 1;
+  const std::int64_t phase = wb::next_phase(q, 1);
   wb::publish(q, 1, phase, true, false, nullptr);
 
   wb::help_deq(q, 1, phase, /*helper=*/0);
@@ -233,7 +233,7 @@ TEST(PhaseOrdering, OlderOperationsAreHelpedFirst) {
   q.enqueue(100, 0);
   q.enqueue(200, 0);
 
-  const std::int64_t ph1 = wb::max_phase(q, 1) + 1;
+  const std::int64_t ph1 = wb::next_phase(q, 1);
   wb::publish(q, 1, ph1, true, false, nullptr);
   const std::int64_t ph2 = ph1 + 1;
   wb::publish(q, 2, ph2, true, false, nullptr);

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "harness/workload.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"

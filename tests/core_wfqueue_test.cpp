@@ -6,13 +6,15 @@
 // core_stress_test.cpp; deterministic interleavings in core_scenario_test.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
 
@@ -118,6 +120,71 @@ TYPED_TEST(WfQueueSequentialTest, DifferentTidsSequential) {
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, t);
   }
+}
+
+// ------------------------------------------------------------------ misuse
+// A thread id >= max_threads indexes past every per-thread array. The
+// check is a real compare, not an assert, so these hold in the default
+// (NDEBUG) build: the call throws std::out_of_range before touching the
+// queue, and the queue stays usable.
+
+template <typename Q>
+class WfQueueMisuseTest : public ::testing::Test {};
+
+using MisuseTypes =
+    ::testing::Types<wf_queue_base<std::uint64_t>, wf_queue_opt<std::uint64_t>,
+                     wf_queue_fps<std::uint64_t>>;
+TYPED_TEST_SUITE(WfQueueMisuseTest, MisuseTypes);
+
+TYPED_TEST(WfQueueMisuseTest, OutOfRangeTidThrowsAndLeavesQueueIntact) {
+  TypeParam q(2);
+  q.enqueue(1u, 0);
+  for (std::uint32_t bad : {2u, 3u, 1u << 20, 0xFFFFFFFFu}) {
+    EXPECT_THROW(q.enqueue(9u, bad), std::out_of_range);
+    EXPECT_THROW((void)q.dequeue(bad), std::out_of_range);
+    EXPECT_THROW((void)q.empty_hint(bad), std::out_of_range);
+    std::vector<std::uint64_t> in{7u, 8u}, out;
+    if constexpr (requires { q.dequeue_bulk(out, 1, 0u); }) {
+      EXPECT_THROW(q.enqueue_bulk(in.begin(), in.end(), bad),
+                   std::out_of_range);
+      EXPECT_THROW((void)q.dequeue_bulk(out, 4, bad), std::out_of_range);
+    }
+    EXPECT_TRUE(out.empty());
+  }
+  EXPECT_EQ(q.unsafe_size(), 1u);
+  EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(1u));
+  EXPECT_EQ(q.dequeue(1), std::nullopt);
+}
+
+TYPED_TEST(WfQueueMisuseTest, MoreThreadsThanSizedFor) {
+  // The reproduction: a queue sized for 2 threads driven by 4. Threads 2
+  // and 3 are refused on every call; 0 and 1 run to completion.
+  TypeParam q(2);
+  constexpr std::uint64_t kPairs = 2000;
+  std::atomic<std::uint64_t> refused{0};
+  std::vector<std::thread> workers;
+  for (std::uint32_t tid = 0; tid < 4; ++tid) {
+    workers.emplace_back([&, tid] {
+      for (std::uint64_t i = 0; i < kPairs; ++i) {
+        try {
+          q.enqueue(i, tid);
+          (void)q.dequeue(tid);
+        } catch (const std::out_of_range&) {
+          refused.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(refused.load(), 2 * kPairs);
+  EXPECT_EQ(q.unsafe_size(), 0u);
+}
+
+TYPED_TEST(WfQueueMisuseTest, ConstructorRejectsUnusableThreadCounts) {
+  // 0: the sentinel is allocated as tid 0. 2^20: a slow deqTid claim by
+  // such a tid would read as a fast claim.
+  EXPECT_THROW(TypeParam(0), std::invalid_argument);
+  EXPECT_THROW(TypeParam(1u << 20), std::invalid_argument);
 }
 
 TEST(WfQueueMemory, LiveBytesBalanceExactly) {

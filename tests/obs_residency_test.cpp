@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "obs/calibrate.hpp"
 #include "obs/registry.hpp"
 #include "sync/spin_barrier.hpp"

@@ -43,7 +43,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/wf_queue_fps.hpp"
+#include "core/wf_queue.hpp"
 #include "harness/affinity.hpp"
 #include "harness/workload.hpp"
 #include "obs/registry.hpp"
@@ -519,7 +519,7 @@ std::atomic<bool> g_gate_open{true};
 std::atomic<bool> g_is_frozen{false};
 
 struct bound_hooks {
-  static void after_slow_publish(std::uint32_t tid, bool /*is_enq*/) {
+  static void after_publish(std::uint32_t tid, bool /*is_enq*/) {
     if (static_cast<std::int64_t>(tid) !=
         g_frozen_tid.load(std::memory_order_acquire)) {
       return;

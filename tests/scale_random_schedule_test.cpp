@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "harness/workload.hpp"
@@ -73,12 +74,11 @@ class sharded_op {
             {op_kind::enq, true, tid_, value_, inner_->inv, inner_->res});
         return true;
       }
-      auto* dm = static_cast<deq_machine*>(inner_.get());
-      set.history[cur_].push_back({op_kind::deq, dm->result.has_value(), tid_,
-                                   dm->result.value_or(0), inner_->inv,
-                                   inner_->res});
-      if (dm->result.has_value()) {
-        result = dm->result;
+      const std::optional<std::uint64_t>& r = inner_->result;
+      set.history[cur_].push_back({op_kind::deq, r.has_value(), tid_,
+                                   r.value_or(0), inner_->inv, inner_->res});
+      if (r.has_value()) {
+        result = r;
         return true;
       }
       if (++visited_ == set.count()) return true;  // scanned all: empty

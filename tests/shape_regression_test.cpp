@@ -24,7 +24,6 @@
 
 #include "baseline/ms_queue.hpp"
 #include "core/wf_queue.hpp"
-#include "core/wf_queue_fps.hpp"
 #include "harness/mem_tracker.hpp"
 #include "harness/timing.hpp"
 #include "harness/workload.hpp"
@@ -90,6 +89,18 @@ TEST(ShapeRegression, NodeSizesExplainThePaperAsymptote) {
   EXPECT_EQ(sizeof(ms_queue<std::uint64_t>::node), 16u);
   EXPECT_EQ(sizeof(wf_node<std::uint64_t>), 24u);
 }
+
+// The fast path folds away without a patience ceiling: the announce-always
+// queues keep the object layout they had as a separate class (x86-64), and
+// the patience API exists only where a fast path does — so the shard tuner
+// never sees a knob on opt shards.
+static_assert(sizeof(wf_queue_opt<std::uint64_t>) == 640);
+static_assert(sizeof(wf_queue_base<std::uint64_t>) == 512);
+template <typename Q>
+concept has_patience_knob = requires(Q& q) { q.set_patience(1u); };
+static_assert(!wf_queue_opt<std::uint64_t>::has_fast_path);
+static_assert(!has_patience_knob<wf_queue_opt<std::uint64_t>>);
+static_assert(has_patience_knob<wf_queue_fps<std::uint64_t>>);
 
 TEST(ShapeRegression, LockFreeBeatsBaseWaitFreeOnPairs) {
   const double lf = pairs_seconds<ms_queue<std::uint64_t>>(8, 3000);

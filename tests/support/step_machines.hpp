@@ -6,6 +6,12 @@
 // (core_interleave_test) enumerates all schedules, the fuzzer
 // (core_random_schedule_test) samples long random ones.
 //
+// Two families: the announce-and-help operation every queue runs (slow
+// path), and the Michael–Scott fast path of a queue built with a fast path
+// (wf_queue_fps). Mixing them in one schedule drives the cross-path races:
+// fast vs slow deqTid claims on one sentinel, anonymous vs announced links,
+// and helpers finishing the other path's steps.
+//
 // Soundness: every step is a sequence of the same atomics the real
 // algorithm performs, executed without interleaving inside one step. The
 // schedules explored are therefore a subset of real executions (coarser
@@ -55,6 +61,7 @@ class basic_machine {
   virtual bool step(Q& q) = 0;  // true once the operation completed
   bool done = false;
   std::uint64_t inv = 0, res = 0;  // step indexes for history checking
+  std::optional<std::uint64_t> result;  // dequeues: the outcome
 };
 
 template <typename Q>
@@ -70,7 +77,7 @@ class basic_enq_machine : public basic_machine<Q> {
     using wb = whitebox;
     switch (pc_) {
       case 0: {  // publish (paper lines 62-63)
-        const std::int64_t phase = wb::max_phase(q, tid_) + 1;
+        const std::int64_t phase = wb::next_phase(q, tid_);
         node_t* n =
             wb::make_node(q, value_, static_cast<std::int32_t>(tid_), tid_);
         wb::publish(q, tid_, phase, true, true, n);
@@ -119,13 +126,11 @@ class basic_deq_machine : public basic_machine<Q> {
  public:
   explicit basic_deq_machine(std::uint32_t tid) : tid_(tid) {}
 
-  std::optional<std::uint64_t> result;
-
   bool step(Q& q) override {
     using wb = whitebox;
     switch (pc_) {
       case 0: {  // publish (lines 99-100)
-        const std::int64_t phase = wb::max_phase(q, tid_) + 1;
+        const std::int64_t phase = wb::next_phase(q, tid_);
         wb::publish(q, tid_, phase, true, false, nullptr);
         pc_ = 1;
         return false;
@@ -173,7 +178,7 @@ class basic_deq_machine : public basic_machine<Q> {
       case 3: {  // read the outcome (lines 102-107)
         wb::help_finish_deq(q, tid_);
         desc_t* d = wb::state(q, tid_);
-        if (d->node != nullptr) result = d->value;
+        if (d->node != nullptr) this->result = d->value;
         return true;
       }
     }
@@ -186,6 +191,99 @@ class basic_deq_machine : public basic_machine<Q> {
   int pc_ = 0;
 };
 
+/// Fast-path enqueue: link an anonymous node (enq_tid == no_tid), then fix
+/// the tail. No announce.
+template <typename Q>
+class fast_enq_machine : public basic_machine<Q> {
+  using node_t = typename Q::node_type;
+
+ public:
+  fast_enq_machine(std::uint32_t tid, std::uint64_t value)
+      : tid_(tid), value_(value) {}
+
+  bool step(Q& q) override {
+    using wb = whitebox;
+    switch (pc_) {
+      case 0: {  // allocate
+        node_ = wb::make_node(q, value_, no_tid);
+        pc_ = 1;
+        return false;
+      }
+      case 1: {  // one link attempt
+        node_t* last = wb::tail(q);
+        node_t* next = last->next.load();
+        if (next == nullptr) {
+          node_t* expected = nullptr;
+          if (last->next.compare_exchange_strong(expected, node_)) pc_ = 2;
+        } else {
+          wb::help_finish_enq(q, tid_);
+        }
+        return false;
+      }
+      case 2: {  // fix tail
+        wb::help_finish_enq(q, tid_);
+        return true;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::uint32_t tid_;
+  std::uint64_t value_;
+  node_t* node_ = nullptr;
+  int pc_ = 0;
+};
+
+/// Fast-path dequeue: validate, read value, claim deqTid with the fast
+/// marker, finish. Retries forever (the bounded-tries fallback is a
+/// performance feature, not needed for these closed scenarios).
+template <typename Q>
+class fast_deq_machine : public basic_machine<Q> {
+  using node_t = typename Q::node_type;
+
+ public:
+  explicit fast_deq_machine(std::uint32_t tid) : tid_(tid) {}
+
+  bool step(Q& q) override {
+    using wb = whitebox;
+    switch (pc_) {
+      case 0: {  // one observation + claim attempt
+        node_t* first = wb::head(q);
+        node_t* last = wb::tail(q);
+        node_t* next = first->next.load();
+        if (first != wb::head(q)) return false;
+        if (first == last) {
+          if (next == nullptr) return true;  // empty
+          wb::help_finish_enq(q, tid_);
+          return false;
+        }
+        value_ = next->value;
+        std::int32_t expected = no_tid;
+        if (first->deq_tid.compare_exchange_strong(
+                expected,
+                Q::fast_claim_base + static_cast<std::int32_t>(tid_))) {
+          pc_ = 1;
+        } else {
+          wb::help_finish_deq(q, tid_);  // finish whoever claimed
+        }
+        return false;
+      }
+      case 1: {  // finish our own claim
+        wb::help_finish_deq(q, tid_);
+        this->result = value_;
+        return true;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::uint32_t tid_;
+  std::uint64_t value_ = 0;
+  int pc_ = 0;
+};
+
 // Concrete types for the default queue, so existing tests keep their names.
 using machine = basic_machine<sm_queue>;
 using enq_machine = basic_enq_machine<sm_queue>;
@@ -195,16 +293,17 @@ struct op_spec {
   bool is_enq;
   std::uint32_t tid;
   std::uint64_t value;  // enq only
+  bool fast = false;    // fast-path machine (queues with a fast path only)
 };
 
 template <typename Q>
 std::unique_ptr<basic_machine<Q>> build_machine_for(const op_spec& s) {
+  if (s.fast) {
+    if (s.is_enq) return std::make_unique<fast_enq_machine<Q>>(s.tid, s.value);
+    return std::make_unique<fast_deq_machine<Q>>(s.tid);
+  }
   if (s.is_enq) return std::make_unique<basic_enq_machine<Q>>(s.tid, s.value);
   return std::make_unique<basic_deq_machine<Q>>(s.tid);
-}
-
-inline std::unique_ptr<machine> build_machine(const op_spec& s) {
-  return build_machine_for<sm_queue>(s);
 }
 
 // ----------------------------------------------------------- elastic replay
@@ -262,12 +361,11 @@ class elastic_sharded_op {
             {op_kind::enq, true, tid_, value_, inner_->inv, inner_->res});
         return true;
       }
-      auto* dm = static_cast<deq_machine*>(inner_.get());
-      set.history[cur_].push_back({op_kind::deq, dm->result.has_value(), tid_,
-                                   dm->result.value_or(0), inner_->inv,
-                                   inner_->res});
-      if (dm->result.has_value()) {
-        result = dm->result;
+      const std::optional<std::uint64_t>& r = inner_->result;
+      set.history[cur_].push_back({op_kind::deq, r.has_value(), tid_,
+                                   r.value_or(0), inner_->inv, inner_->res});
+      if (r.has_value()) {
+        result = r;
         return true;
       }
       // Advance to the next pool slot of the snapshot's scan order.

@@ -32,10 +32,13 @@ struct whitebox {
                                           std::uint32_t alloc_tid = 0) {
     return q.alloc_node(alloc_tid, v, etid);
   }
+  /// The phase an operation by `tid` would draw now, from the queue's own
+  /// PhasePolicy (max_phase + 1 for scan_max_phase, the shared counter's
+  /// fetch-add for fetch_add_phase).
   template <typename Q>
-  static std::int64_t max_phase(Q& q, std::uint32_t tid) {
+  static std::int64_t next_phase(Q& q, std::uint32_t tid) {
     auto g = q.reclaim_.enter(tid);
-    return q.max_phase(g);
+    return q.phase_.next_phase(q, g, tid);
   }
   template <typename Q>
   static void publish(Q& q, std::uint32_t tid, std::int64_t phase,
@@ -52,11 +55,6 @@ struct whitebox {
                          typename Q::desc_type* cur,
                          typename Q::desc_type* repl) {
     return q.swap_state(tid, my, cur, repl);
-  }
-  /// fps only: the shared phase counter.
-  template <typename Q>
-  static std::int64_t bump_phase(Q& q) {
-    return q.phase_counter_->fetch_add(1, std::memory_order_acq_rel);
   }
   template <typename Q>
   static void help_finish_enq(Q& q, std::uint32_t my) {
