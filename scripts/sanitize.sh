@@ -9,6 +9,7 @@
 #   scripts/sanitize.sh                          # ASan+UBSan and TSan, all tests
 #   scripts/sanitize.sh thread                   # TSan only, all tests
 #   scripts/sanitize.sh thread -- -R 'Sharded'   # TSan, filtered ctest run
+#   scripts/sanitize.sh address-ndebug           # ASan+UBSan, NDEBUG build
 #   scripts/sanitize.sh tsan-storage             # TSan, storage-layer suites
 #                                                # (segment retirement + the
 #                                                # bounded queue's policies)
@@ -39,7 +40,13 @@ for mode in "${modes[@]}"; do
   filter=()
   extra_cmake=()
   dir_tag="$mode"
-  if [[ "$mode" == "tsan-storage" ]]; then
+  if [[ "$mode" == "address-ndebug" ]]; then
+    # ASan+UBSan on the NDEBUG (RelWithDebInfo) build users run; the plain
+    # sanitizer modes keep asserts live.
+    mode=address
+    dir_tag=address-ndebug
+    extra_cmake=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
+  elif [[ "$mode" == "tsan-storage" ]]; then
     # Shortcut: TSan over every suite that exercises src/storage/ — the
     # segment-storage unit/stress tests, the bounded-policy tests, the
     # segment variants of the random-schedule linearizability cross-check,

@@ -32,6 +32,9 @@ class two_lock_queue : public mem_tracked {
     node* sentinel = alloc_node(T{});
     head_ = sentinel;
     tail_ = sentinel;
+    // Enqueue and dequeue allocate/free under different locks: an open
+    // baseline would be written by both (see ms_queue).
+    seal_baseline();
   }
 
   two_lock_queue(const two_lock_queue&) = delete;

@@ -61,6 +61,10 @@ class ms_queue : public mem_tracked {
     node* sentinel = alloc_node(T{});
     head_.store(sentinel, std::memory_order_relaxed);
     tail_.store(sentinel, std::memory_order_relaxed);
+    // Freeze the construction baseline (mem_tracker.hpp) as wf_queue does:
+    // left open, every allocation on every thread would write the plain
+    // baseline counters — a data race while no sink is attached.
+    seal_baseline();
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
 

@@ -5,10 +5,23 @@
 //  CAS operation fails [...] This issue can be easily solved by caching
 //  allocated descriptors used in unsuccessful CASes and reusing them."
 //
-// Only descriptors that were *never published* (their installing CAS failed,
-// so no other thread can hold a reference) may be recycled here; published
-// descriptors go through the reclaimer. Each thread owns its own free list,
-// so the pool needs no synchronization.
+// Two kinds of descriptor come back here:
+//   * never-published ones (their installing CAS failed, so no other thread
+//     can hold a reference) — recycle(), the paper's enhancement;
+//   * published ones the reclaimer has proven unreachable — reclaim_fn, the
+//     callback the queue hands to retire() with retire_ctx(tid) as context.
+//     Every reclaimer runs a retired object's callback on the thread that
+//     retired it (hp scan from retire, epoch advance on the owner's buckets,
+//     leaky/hp/epoch shutdown under quiescence), so the descriptor lands in
+//     the retiring thread's own list. This is the per-handle `spare` idiom of
+//     the YMC queue, and reuse is exactly as ABA-safe as malloc reuse: a
+//     descriptor any hazard slot still announces never reaches the callback.
+//
+// Each thread owns its own free list, so the pool needs no synchronization.
+// The list holds at most `cache_cap` descriptors (the queue sizes it to one
+// reclamation batch); beyond that a descriptor goes back to the allocator.
+// A disabled pool (descriptor_cache = false) reuses nothing: both paths
+// delete.
 #pragma once
 
 #include <atomic>
@@ -20,6 +33,10 @@
 #include "core/op_desc.hpp"
 #include "harness/mem_tracker.hpp"
 #include "sync/cacheline.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace kpq {
 
@@ -33,7 +50,9 @@ class desc_pool {
       : enabled_(enabled),
         cache_cap_(cache_cap),
         accounting_(accounting),
-        free_(max_threads) {}
+        free_(max_threads) {
+    for (auto& f : free_) f->owner = this;
+  }
 
   desc_pool(const desc_pool&) = delete;
   desc_pool& operator=(const desc_pool&) = delete;
@@ -47,6 +66,7 @@ class desc_pool {
     if (!list.empty()) {
       desc_type* d = list.back();
       list.pop_back();
+      unpoison(d);
       d->~desc_type();
       return new (d) desc_type(std::forward<Args>(args)...);
     }
@@ -60,23 +80,25 @@ class desc_pool {
   /// Return a never-published descriptor for reuse. Cached descriptors stay
   /// "live" in the accounting (they occupy heap).
   void recycle(std::uint32_t tid, desc_type* d) noexcept {
-    auto& list = free_[tid]->items;
-    if (enabled_ && list.size() < cache_cap_) {
-      list.push_back(d);
-    } else {
-      if (accounting_ != nullptr) accounting_->account_free(sizeof(desc_type));
-      delete d;
-    }
+    give_back(free_[tid].get(), d);
+  }
+
+  /// Reclaimer context for descriptors `tid` retires: its own free list.
+  void* retire_ctx(std::uint32_t tid) noexcept { return &free_[tid].get(); }
+
+  /// Reclaimer callback (retire_fn): `p` is unreachable; cache it in the
+  /// retiring thread's list (`ctx`, from retire_ctx) or free it.
+  static void reclaim_fn(void* ctx, void* p) noexcept {
+    auto* list = static_cast<free_list*>(ctx);
+    list->owner->give_back(*list, static_cast<desc_type*>(p));
   }
 
   /// Delete all cached descriptors (destructor path).
   void purge() noexcept {
     for (auto& f : free_) {
       for (desc_type* d : f->items) {
-        if (accounting_ != nullptr) {
-          accounting_->account_free(sizeof(desc_type));
-        }
-        delete d;
+        unpoison(d);
+        release(d);
       }
       f->items.clear();
     }
@@ -85,6 +107,7 @@ class desc_pool {
   std::size_t cached(std::uint32_t tid) const noexcept {
     return free_[tid]->items.size();
   }
+  std::size_t cache_cap() const noexcept { return cache_cap_; }
   std::uint64_t fresh_allocs() const noexcept {
     // kpq-order: relaxed pairs-with none (statistics read; may lag)
     return fresh_allocs_.load(std::memory_order_relaxed);
@@ -92,8 +115,40 @@ class desc_pool {
 
  private:
   struct free_list {
+    desc_pool* owner = nullptr;
     std::vector<desc_type*> items;
   };
+
+  void give_back(free_list& list, desc_type* d) noexcept {
+    if (enabled_ && list.items.size() < cache_cap_) {
+      list.items.push_back(d);
+      poison(d);
+    } else {
+      release(d);
+    }
+  }
+
+  void release(desc_type* d) noexcept {
+    if (accounting_ != nullptr) accounting_->account_free(sizeof(desc_type));
+    delete d;
+  }
+
+  // ASan cannot flag a stale read of a cached descriptor (it was never
+  // freed), so cached descriptors are poisoned until make() hands them out.
+  static void poison(desc_type* d) noexcept {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_POISON_MEMORY_REGION(d, sizeof(desc_type));
+#else
+    (void)d;
+#endif
+  }
+  static void unpoison(desc_type* d) noexcept {
+#if defined(__SANITIZE_ADDRESS__)
+    ASAN_UNPOISON_MEMORY_REGION(d, sizeof(desc_type));
+#else
+    (void)d;
+#endif
+  }
 
   bool enabled_;
   std::size_t cache_cap_;

@@ -26,9 +26,12 @@
 //   * Descriptors are immutable after publication and flow through the same
 //     reclamation domain as nodes. Replacing a descriptor in `state`
 //     (exchange by the owner, CAS by helpers) retires the old one exactly
-//     once, on the replacing thread. Descriptors whose installing CAS failed
-//     were never published and are recycled through a per-thread cache
-//     (paper §3.3, enhancement 1).
+//     once, on the replacing thread. Both descriptors whose installing CAS
+//     failed (never published) and retired ones the reclaimer has proven
+//     unreachable go back to the replacing thread's cache (paper §3.3,
+//     enhancement 1, extended to reclaimed descriptors; core/desc_pool.hpp),
+//     which holds up to one hazard-scan batch. Nodes stay on the Storage
+//     path.
 //   * The owner installs its new descriptor with an atomic exchange, not a
 //     plain store, because helpers may legitimately replace a *completed*
 //     descriptor with an equivalent copy (the paper notes the finish CASes
@@ -112,7 +115,8 @@ struct wf_options {
   using residency = obs::no_residency;
   /// Per-thread operation counters (wf_counters); zero-cost when off.
   static constexpr bool collect_stats = false;
-  /// Enhancement 1: cache descriptors whose installing CAS failed.
+  /// Enhancement 1: cache descriptors whose installing CAS failed, and
+  /// retired ones once the reclaimer returns them. false reuses neither.
   static constexpr bool descriptor_cache = true;
   /// Enhancement 2: replace the descriptor with a node-free dummy when an
   /// operation returns, so a finished descriptor does not keep naming a
@@ -271,6 +275,7 @@ class wf_queue : public mem_tracked {
   using reclaimer_type = Reclaimer;
   using storage_type = Storage;
   using help_policy_type = HelpPolicy;
+  using pool_type = desc_pool<T, track_residency>;
   static_assert(std::is_same_v<typename Storage::node_type, node_type>,
                 "Storage must be instantiated with the queue's node type — "
                 "when residency is enabled the node carries the stamp, e.g. "
@@ -313,8 +318,9 @@ class wf_queue : public mem_tracked {
   explicit wf_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
       : n_(checked_max_threads(max_threads)),
         storage_(max_threads, this),
+        pool_(max_threads, Options::descriptor_cache, this,
+              hp_domain::default_scan_threshold(max_threads * hp_slots)),
         reclaim_(max_threads, hp_slots),
-        pool_(max_threads, Options::descriptor_cache, this),
         help_(max_threads),
         phase_(max_threads),
         state_(max_threads),
@@ -360,8 +366,8 @@ class wf_queue : public mem_tracked {
       free_desc(d);
     }
     // reclaim_ and pool_ drain their retired/cached objects on destruction;
-    // reclaim_ is declared after storage_ so segment reclamation callbacks
-    // still have a live storage to recycle into (storage_concepts.hpp).
+    // reclaim_ is declared after storage_ and pool_ so its drain still has
+    // a live storage and pool to recycle into (storage_concepts.hpp).
   }
 
   // ---------------------------------------------------------------- enqueue
@@ -554,7 +560,7 @@ class wf_queue : public mem_tracked {
   reclaimer_type& reclaimer() noexcept { return reclaim_; }
   storage_type& storage() noexcept { return storage_; }
   const storage_type& storage() const noexcept { return storage_; }
-  const desc_pool<T, track_residency>& descriptor_pool() const noexcept {
+  const pool_type& descriptor_pool() const noexcept {
     return pool_;
   }
 
@@ -843,7 +849,8 @@ class wf_queue : public mem_tracked {
   // ------------------------------------------------------------- allocation
   // Nodes live wherever the Storage policy puts them (storage/); descriptors
   // stay heap objects recycled through desc_pool — they are small, reused
-  // aggressively, and their lifetime is tied to `state`, not the list.
+  // aggressively, and their lifetime is tied to `state`, not the list. The
+  // reclaimer hands a retired descriptor back to the retiring thread's pool.
 
   node_type* alloc_node(std::uint32_t tid, T v, std::int32_t etid) {
     return storage_.alloc(tid, std::move(v), etid, reclaim_);
@@ -853,13 +860,6 @@ class wf_queue : public mem_tracked {
     delete d;
   }
 
-  static void retire_desc_fn(void* ctx, void* p) {
-    if (ctx != nullptr) {
-      static_cast<mem_counters*>(ctx)->on_free(sizeof(desc_type));
-    }
-    delete static_cast<desc_type*>(p);
-  }
-
   void retire_node(std::uint32_t tid, node_type* n) {
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::retire, 0, 0);
@@ -867,7 +867,7 @@ class wf_queue : public mem_tracked {
     storage_.retire(tid, n, reclaim_);
   }
   void retire_desc(std::uint32_t tid, desc_type* d) {
-    reclaim_.retire(tid, d, &retire_desc_fn, memory_counters());
+    reclaim_.retire(tid, d, &pool_type::reclaim_fn, pool_.retire_ctx(tid));
   }
 
   /// Owner installs a fresh descriptor; the displaced one is retired here,
@@ -1104,10 +1104,11 @@ class wf_queue : public mem_tracked {
   // ------------------------------------------------------------------- data
 
   const std::uint32_t n_;
-  Storage storage_;  // before reclaim_: reclaimer shutdown drains segment
-                     // retirements through callbacks into the storage
+  // storage_ and pool_ before reclaim_: reclaimer shutdown drains segment
+  // and descriptor retirements through callbacks into them.
+  Storage storage_;
+  pool_type pool_;
   Reclaimer reclaim_;
-  desc_pool<T, track_residency> pool_;
   HelpPolicy help_;
   PhasePolicy phase_;
 

@@ -35,10 +35,19 @@ class hp_domain {
         slots_per_thread_(slots_per_thread),
         slots_(static_cast<std::size_t>(max_threads) * slots_per_thread),
         retired_(max_threads) {
-    const std::uint32_t total = max_threads * slots_per_thread;
-    // Michael's recommendation: R >= H * (1 + small constant). The +64
-    // amortises the scan for tiny configurations.
-    scan_threshold_ = scan_threshold ? scan_threshold : 2 * total + 64;
+    scan_threshold_ =
+        scan_threshold ? scan_threshold
+                       : default_scan_threshold(max_threads * slots_per_thread);
+  }
+
+  /// The default scan batch R for `total_slots` = H announcement slots:
+  /// Michael's recommendation R >= H * (1 + small constant); the +64
+  /// amortises the scan for tiny configurations. One scan hands back at
+  /// most one batch, which is what wf_queue sizes each thread's descriptor
+  /// cache to (core/desc_pool.hpp).
+  static constexpr std::uint32_t default_scan_threshold(
+      std::uint32_t total_slots) noexcept {
+    return 2 * total_slots + 64;
   }
 
   hp_domain(const hp_domain&) = delete;

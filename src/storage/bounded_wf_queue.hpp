@@ -68,19 +68,20 @@ enum class full_policy : std::uint8_t { reject, block, overwrite_oldest };
 
 struct bounded_config {
   /// Ceiling on the queue's total live bytes (nodes + descriptors +
-  /// segments), as counted by its mem_counters. Must exceed the fixed
-  /// construction footprint plus the admission headroom or every enqueue is
-  /// rejected (the constructor asserts a sane floor).
+  /// segments), as counted by its mem_counters. Must be at least
+  /// floor_bytes() + headroom_bytes() or the queue can wedge with nothing
+  /// in it (the constructor asserts it).
   std::size_t max_bytes;
   full_policy policy = full_policy::reject;
   /// block policy: waiters re-check at this interval even without a
   /// notification — reclaimer scans return segment memory asynchronously to
   /// any dequeue, so space can appear with nobody to signal it.
   std::chrono::milliseconds block_recheck{1};
-  /// Headroom slack for descriptor churn, per thread, in descriptors. The
-  /// steady state allocates ~none (desc_pool recycles); this covers the
-  /// cold-start and helping bursts between admission checks. docs/MEMORY.md
-  /// §4 discusses the sizing.
+  /// Headroom slack for descriptor churn, per thread, in descriptors: the
+  /// fresh descriptors one operation (with its helping) can allocate
+  /// between its admission check and its completion. Descriptors parked
+  /// between scans are in the floor instead. docs/MEMORY.md §4 discusses
+  /// the sizing.
   std::uint32_t desc_slack_per_thread = 8;
 };
 
@@ -99,19 +100,41 @@ class bounded_wf_queue {
   using value_type = T;
   using inner_type = Inner;
   using storage_type = typename Inner::storage_type;
+  using desc_type = typename Inner::desc_type;
 
   bounded_wf_queue(std::uint32_t max_threads, bounded_config cfg)
-      : cfg_(cfg),
-        headroom_(static_cast<std::size_t>(max_threads) *
-                  (storage_type::max_alloc_bytes +
-                   cfg.desc_slack_per_thread *
-                       sizeof(typename Inner::desc_type))),
+      : cfg_(cfg), headroom_(headroom_bytes(max_threads, cfg)),
         q_(max_threads, &mc_) {
     // The ceiling must leave room for at least one admitted enqueue on top
-    // of the construction footprint, or the queue is unusable.
-    assert(static_cast<std::int64_t>(cfg_.max_bytes) >=
-               mc_.live_bytes() + static_cast<std::int64_t>(headroom_) &&
-           "max_bytes below construction footprint + admission headroom");
+    // of the steady-state floor, or the queue can wedge while empty.
+    assert(cfg_.max_bytes >= floor_bytes(max_threads) + headroom_ &&
+           "max_bytes below steady-state floor + admission headroom");
+  }
+
+  /// Steady-state floor: the construction footprint (the sentinel's
+  /// allocation plus one descriptor per thread in `state`) plus, per
+  /// thread, one hazard-scan batch of descriptors — a thread's retired-but-
+  /// unscanned and cached descriptors together stay within about one batch,
+  /// and draining the queue frees none of them (docs/MEMORY.md §4). Storage
+  /// memory parked beyond the sentinel's (other threads' active segments,
+  /// spare segments) is not included: size ceilings with a few segments
+  /// above floor + headroom.
+  static constexpr std::size_t floor_bytes(std::uint32_t max_threads) noexcept {
+    const std::size_t batch =
+        hp_domain::default_scan_threshold(max_threads * Inner::hp_slots);
+    return storage_type::max_alloc_bytes +
+           static_cast<std::size_t>(max_threads) * (1 + batch) *
+               sizeof(desc_type);
+  }
+
+  /// Admission headroom: what the operations already past admission can
+  /// still allocate — per thread one storage allocation plus
+  /// `desc_slack_per_thread` fresh descriptors.
+  static constexpr std::size_t headroom_bytes(
+      std::uint32_t max_threads, const bounded_config& cfg) noexcept {
+    return static_cast<std::size_t>(max_threads) *
+           (storage_type::max_alloc_bytes +
+            cfg.desc_slack_per_thread * sizeof(desc_type));
   }
 
   bounded_wf_queue(const bounded_wf_queue&) = delete;

@@ -128,6 +128,42 @@ TEST(MsQueueMemory, CountersBalance) {
   EXPECT_EQ(mc.live_bytes(), 0);
 }
 
+// Built without counters, used by two threads, attached afterwards: the
+// attach must replay exactly the construction footprint (the sentinel). An
+// unsealed baseline would also have absorbed — racily — every allocation
+// and free the two threads made.
+template <typename Q>
+void expect_attach_replays_construction_only() {
+  Q q(2);
+  std::vector<std::thread> workers;
+  for (std::uint32_t tid = 0; tid < 2; ++tid) {
+    workers.emplace_back([&q, tid] {
+      for (std::uint64_t i = 0; i < 500; ++i) {
+        q.enqueue(i, tid);
+        (void)q.dequeue(tid);
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  mem_counters used, unused;
+  q.set_memory_counters(&used);
+  Q fresh(2);
+  fresh.set_memory_counters(&unused);
+  EXPECT_EQ(used.live_objects(), 1);  // the sentinel, nothing else
+  EXPECT_EQ(used.live_bytes(), unused.live_bytes());
+  EXPECT_GT(used.live_bytes(), 0);
+  q.set_memory_counters(nullptr);  // the sinks die first
+  fresh.set_memory_counters(nullptr);
+}
+
+TEST(MsQueueMemAccounting, AttachAfterConcurrentUseReplaysConstruction) {
+  expect_attach_replays_construction_only<ms_queue<std::uint64_t>>();
+}
+
+TEST(TwoLockQueueMemAccounting, AttachAfterConcurrentUseReplaysConstruction) {
+  expect_attach_replays_construction_only<two_lock_queue<std::uint64_t>>();
+}
+
 TEST(TwoLockQueue, ParallelEnqueuerAndDequeuerDoNotBlockEachOther) {
   two_lock_queue<std::uint64_t> q;
   std::atomic<bool> stop{false};

@@ -16,6 +16,7 @@
 #include "core/phase_policy.hpp"
 #include "core/wf_queue.hpp"
 #include "harness/mem_tracker.hpp"
+#include "reclaim/hazard_pointers.hpp"
 #include "sync/spin_barrier.hpp"
 
 namespace kpq {
@@ -236,6 +237,71 @@ TEST(DescPool, AccountingTracksFreshAllocationsOnly) {
   pool.recycle(0, b);
   pool.purge();
   EXPECT_EQ(mc.live_objects(), 0);
+}
+
+// The reclaimer's callback: an unreachable published descriptor goes back
+// to the RETIRING thread's list (the context), up to the cap; the spill is
+// freed and accounted as a free.
+TEST(DescPool, ReclaimCallbackFillsRetiringThreadsCacheUpToCap) {
+  class probe : public mem_tracked {};
+  probe acct;
+  mem_counters mc;
+  acct.set_memory_counters(&mc);
+  desc_pool<std::uint64_t> pool(2, true, &acct, /*cache_cap=*/2);
+  using pool_t = desc_pool<std::uint64_t>;
+  std::vector<pool_t::desc_type*> ds;
+  for (int i = 0; i < 3; ++i) {
+    ds.push_back(pool.make(0, std::int64_t{i}, true, true, nullptr));
+  }
+  EXPECT_EQ(mc.live_objects(), 3);
+  for (auto* d : ds) pool_t::reclaim_fn(pool.retire_ctx(1), d);
+  EXPECT_EQ(pool.cached(1), 2u);
+  EXPECT_EQ(pool.cached(0), 0u) << "reclaimed into the retiring thread";
+  EXPECT_EQ(mc.live_objects(), 2) << "the spill is a free";
+  EXPECT_EQ(mc.live_bytes(),
+            static_cast<std::int64_t>(2 * sizeof(pool_t::desc_type)));
+  auto* reused = pool.make(1, std::int64_t{7}, false, false, nullptr);
+  EXPECT_TRUE(reused == ds[0] || reused == ds[1]);
+  EXPECT_EQ(reused->phase, 7);
+  EXPECT_EQ(pool.fresh_allocs(), 3u);
+  pool.recycle(1, reused);
+  pool.purge();
+  EXPECT_EQ(mc.live_objects(), 0);
+}
+
+TEST(DescPool, DisabledPoolFreesReclaimedDescriptors) {
+  class probe : public mem_tracked {};
+  probe acct;
+  mem_counters mc;
+  acct.set_memory_counters(&mc);
+  desc_pool<std::uint64_t> pool(1, /*enabled=*/false, &acct);
+  auto* d = pool.make(0, std::int64_t{1}, true, true, nullptr);
+  desc_pool<std::uint64_t>::reclaim_fn(pool.retire_ctx(0), d);
+  EXPECT_EQ(pool.cached(0), 0u);
+  EXPECT_EQ(mc.live_objects(), 0);
+}
+
+// Through a real hazard domain: the scan skips an announced descriptor and
+// hands every other one to the pool.
+TEST(DescPool, HazardScanRecyclesOnlyUnannouncedDescriptors) {
+  desc_pool<std::uint64_t> pool(2, true, nullptr);
+  hp_domain dom(2, 1, /*scan_threshold=*/1000);
+  auto* pinned = pool.make(0, std::int64_t{1}, true, true, nullptr);
+  auto* loose = pool.make(0, std::int64_t{2}, true, true, nullptr);
+  auto g = dom.enter(1);
+  g.protect_raw(0, pinned);
+  for (auto* d : {pinned, loose}) {
+    dom.retire(0, d, &desc_pool<std::uint64_t>::reclaim_fn,
+               pool.retire_ctx(0));
+  }
+  dom.scan(0);
+  EXPECT_EQ(pool.cached(0), 1u);
+  EXPECT_EQ(pool.make(0, std::int64_t{3}, true, true, nullptr), loose);
+  g.clear(0);
+  dom.scan(0);
+  EXPECT_EQ(pool.make(0, std::int64_t{4}, true, true, nullptr), pinned);
+  pool.recycle(0, loose);
+  pool.recycle(0, pinned);
 }
 
 TEST(DescPool, FreshAllocCounterGrowsOnlyOnMisses) {

@@ -17,6 +17,7 @@
 #include "core/wf_queue.hpp"
 #include "reclaim/epoch.hpp"
 #include "reclaim/leaky.hpp"
+#include "support/whitebox.hpp"
 
 namespace kpq {
 namespace {
@@ -227,6 +228,66 @@ TEST(WfQueueDescCache, FailedInstallsAreRecycled) {
     ASSERT_TRUE(q.dequeue(0).has_value());
   }
   SUCCEED();
+}
+
+// Reclaimed descriptors go back to the retiring thread's pool: once warm,
+// a single thread's enqueue/dequeue pairs draw every descriptor from its
+// cache. With the cache disabled every descriptor is a fresh allocation.
+template <typename Q>
+std::uint64_t fresh_descs_after_warmup(std::uint64_t pairs) {
+  Q q(2);
+  const std::uint64_t batch = q.reclaimer().scan_threshold();
+  for (std::uint64_t i = 0; i < 8 * batch; ++i) {
+    q.enqueue(i, 0);
+    EXPECT_TRUE(q.dequeue(0).has_value());
+  }
+  const std::uint64_t warm = q.descriptor_pool().fresh_allocs();
+  for (std::uint64_t i = 0; i < pairs; ++i) {
+    q.enqueue(i, 0);
+    EXPECT_TRUE(q.dequeue(0).has_value());
+    EXPECT_LE(q.descriptor_pool().cached(0), q.descriptor_pool().cache_cap());
+  }
+  return q.descriptor_pool().fresh_allocs() - warm;
+}
+
+TEST(WfQueueDescCache, SteadyStateReusesReclaimedDescriptors) {
+  EXPECT_EQ(fresh_descs_after_warmup<wf_queue_opt<std::uint64_t>>(2000), 0u);
+  EXPECT_EQ(fresh_descs_after_warmup<wf_queue_base<std::uint64_t>>(2000), 0u);
+}
+
+TEST(WfQueueDescCache, DisabledCacheStillAllocatesEveryDescriptor) {
+  using no_cache = wf_queue<std::uint64_t, help_one, fetch_add_phase,
+                            hp_domain, wf_options_no_cache>;
+  // publish + finish per enqueue, publish + stage 0 + finish per dequeue.
+  EXPECT_EQ(fresh_descs_after_warmup<no_cache>(2000), 5u * 2000u);
+}
+
+// Hazard safety of the reuse: while thread 1 announces thread 0's current
+// descriptor, no descriptor thread 0 installs may reuse that address — not
+// across several scans, which reclaim (and recycle) everything else.
+template <typename Q>
+void expect_announced_descriptor_never_reused() {
+  Q q(2);
+  q.enqueue(1, 0);
+  ASSERT_TRUE(q.dequeue(0).has_value());
+  auto* pinned = testing::whitebox::state(q, 0);
+  auto g = q.reclaimer().enter(1);
+  g.protect_raw(Q::s_desc, pinned);
+  const std::uint64_t batch = q.reclaimer().scan_threshold();
+  const std::uint64_t freed0 = q.reclaimer().freed_count();
+  for (std::uint64_t i = 0; i < 3 * batch; ++i) {
+    q.enqueue(i, 0);
+    ASSERT_NE(testing::whitebox::state(q, 0), pinned) << "after enqueue " << i;
+    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_NE(testing::whitebox::state(q, 0), pinned) << "after dequeue " << i;
+  }
+  EXPECT_GT(q.reclaimer().freed_count(), freed0) << "no scan ran";
+  g.clear(Q::s_desc);
+}
+
+TEST(WfQueueDescCache, AnnouncedDescriptorIsNeverReused) {
+  expect_announced_descriptor_never_reused<wf_queue_opt<std::uint64_t>>();
+  expect_announced_descriptor_never_reused<wf_queue_base<std::uint64_t>>();
 }
 
 TEST(WfQueueTypes, WorksWithStrings) {

@@ -23,27 +23,16 @@ using inner_q = bq::inner_type;
 
 constexpr std::size_t kSeg = inner_q::storage_type::max_alloc_bytes;
 
-/// The admission headroom the constructor computes — tests size ceilings as
-/// "construction footprint + headroom + k segments".
-std::size_t headroom_for(std::uint32_t n, const bounded_config& cfg) {
-  return static_cast<std::size_t>(n) *
-         (kSeg + cfg.desc_slack_per_thread * sizeof(inner_q::desc_type));
-}
-
-/// Construction footprint of a bounded queue for `n` threads (sentinel
-/// segment + per-thread descriptors), measured on a throwaway instance.
-std::size_t footprint_for(std::uint32_t n) {
-  bounded_config big{.max_bytes = std::size_t{1} << 24};
-  bq probe(n, big);
-  return static_cast<std::size_t>(probe.live_bytes());
-}
+// Tests size ceilings as "steady-state floor + admission headroom + k
+// segments", with floor and headroom as the queue itself reports them
+// (bq::floor_bytes, bq::headroom_bytes).
 
 // --------------------------------------------------------------- reject
 
 TEST(BoundedReject, CapsThenRecoversAfterDrain) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg) + 4 * kSeg;
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg) + 4 * kSeg;
   bq q(n, cfg);
 
   // Fill to rejection; the ceiling must hold at every step.
@@ -74,7 +63,7 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
   constexpr std::uint32_t kProducers = 2;
   constexpr std::uint32_t n = kProducers + 1;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg) + 8 * kSeg;
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg) + 8 * kSeg;
   bq q(n, cfg);
 
   constexpr std::uint64_t kAttempts = 20000;
@@ -115,8 +104,8 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
 TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = headroom_for(n, cfg);
-  cfg.max_bytes = footprint_for(n) + h + 2 * kSeg;
+  const std::size_t h = bq::headroom_bytes(n, cfg);
+  cfg.max_bytes = bq::floor_bytes(n) + h + 2 * kSeg;
   bq q(n, cfg);
 
   // Far more values than the ceiling can hold at once: the producer MUST
@@ -151,8 +140,8 @@ TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
 TEST(BoundedBlock, CloseUnblocksProducersAndDrains) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = headroom_for(n, cfg);
-  cfg.max_bytes = footprint_for(n) + h + 2 * kSeg;
+  const std::size_t h = bq::headroom_bytes(n, cfg);
+  cfg.max_bytes = bq::floor_bytes(n) + h + 2 * kSeg;
   bq q(n, cfg);
 
   std::atomic<std::uint64_t> admitted{0};
@@ -194,7 +183,7 @@ TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
   constexpr std::uint32_t n = 1;
   bounded_config cfg{.max_bytes = 0,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg) + 3 * kSeg;
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg) + 3 * kSeg;
   bq q(n, cfg);
 
   constexpr std::uint64_t kValues = 3000;
@@ -219,14 +208,14 @@ TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
 }
 
 TEST(BoundedOverwrite, DegradesToRejectWhenEmptyButOverCeiling) {
-  // Minimum legal ceiling: construction footprint + headroom exactly. Once
+  // Minimum legal ceiling: steady-state floor + headroom exactly. Once
   // a second segment exists, live stays above the admission line even with
   // the queue EMPTY (spare/pending segments hold the bytes) — the policy
   // must drain, find nothing left to drop, and reject rather than exceed.
   constexpr std::uint32_t n = 1;
   bounded_config cfg{.max_bytes = 0,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = footprint_for(n) + headroom_for(n, cfg);
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg);
   bq q(n, cfg);
 
   bool saw_reject = false;

@@ -89,14 +89,21 @@ TEST(SegmentStorage, SealConsumeRecycleRoundtrip) {
   }
 
   // Fill the second segment; its successor must come from the spare slot.
-  for (std::size_t i = 1; i < k; ++i) s.alloc(0, i, 0, dom);
-  s.alloc(0, 100, 0, dom);
+  std::vector<seg256::node_type*> live{overflow};
+  for (std::size_t i = 1; i < k; ++i) live.push_back(s.alloc(0, i, 0, dom));
+  live.push_back(s.alloc(0, 100, 0, dom));
   {
     const auto st = s.pool_stats();
     EXPECT_EQ(st.segments_allocated, 2u);  // no third heap allocation
     EXPECT_EQ(st.segments_recycled, 1u);
     EXPECT_EQ(st.segments_spare, 0);
   }
+
+  // Tear down as a container does: release every cell still live. That
+  // destroys the sealed second segment; ~segment_storage frees the active
+  // one. Without it the sealed segment leaks (LeakSanitizer reports it).
+  for (auto* n : live) s.release(n);
+  EXPECT_EQ(s.pool_stats().segments_live, 1);  // only the active segment
 }
 
 // A hazard announcement anywhere INSIDE a retired segment keeps the whole
