@@ -49,6 +49,20 @@ void bm_hp_protect(benchmark::State& state) {
   delete src.load();
 }
 
+// The same slot and the same value with no clear between calls: the
+// re-announcement the queues make on their uncontended path. protect()
+// finds its own slot already holding the value and skips the store.
+void bm_hp_reprotect(benchmark::State& state) {
+  hp_domain d(1, 4);
+  std::atomic<int*> src{new int(7)};
+  auto g = d.enter(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.protect(0, src));
+  }
+  g.clear(0);
+  delete src.load();
+}
+
 void bm_plain_load(benchmark::State& state) {
   std::atomic<int*> src{new int(7)};
   for (auto _ : state) {
@@ -119,6 +133,7 @@ BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
     ->Name("precheck_cas/on");
 
 BENCHMARK(bm_hp_protect)->Name("hp/protect+clear");
+BENCHMARK(bm_hp_reprotect)->Name("hp/reprotect(same value)");
 BENCHMARK(bm_plain_load)->Name("hp/plain_acquire_load");
 BENCHMARK(bm_hp_retire_scan)->Name("hp/retire(amortized_scan)");
 BENCHMARK(bm_registry_lookup)->Name("registry/this_thread_id");

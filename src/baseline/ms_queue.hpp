@@ -83,7 +83,7 @@ class ms_queue : public mem_tracked {
   void enqueue(T value) { enqueue(std::move(value), this_thread_id()); }
 
   void enqueue(T value, std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
     node* const fresh = alloc_node(std::move(value));
     Hooks::on_enqueue_start(tid);
@@ -112,7 +112,7 @@ class ms_queue : public mem_tracked {
   std::optional<T> dequeue() { return dequeue(this_thread_id()); }
 
   std::optional<T> dequeue(std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
     backoff bo;
     for (;;) {
@@ -142,6 +142,7 @@ class ms_queue : public mem_tracked {
   }
 
   bool empty_hint(std::uint32_t tid) {
+    check_tid(tid);
     auto g = reclaim_.enter(tid);
     node* first = g.protect(s_first, head_);
     node* last = tail_.load(std::memory_order_seq_cst);
@@ -165,6 +166,15 @@ class ms_queue : public mem_tracked {
   }
 
  private:
+  // `tid` indexes the hazard-pointer slot table, so an out-of-range id
+  // would be silent memory corruption in a release build: throw before
+  // reclaim_.enter, leaving the queue as it was.
+  void check_tid(std::uint32_t tid) const {
+    if (tid >= n_) [[unlikely]] {
+      detail::throw_tid_out_of_range("kpq::ms_queue", tid, n_);
+    }
+  }
+
   node* alloc_node(T v) {
     account_alloc(sizeof(node));
     return new node(std::move(v));

@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
-#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -238,16 +237,6 @@ struct fps_path_stats {
     return *this;
   }
 };
-
-namespace detail {
-/// Cold path of the entry-point thread-id check: kept out of line so the
-/// hot path pays one compare and a not-taken branch.
-[[noreturn, gnu::cold, gnu::noinline]] inline void throw_tid_out_of_range(
-    std::uint32_t tid, std::uint32_t max_threads) {
-  throw std::out_of_range("kpq::wf_queue: thread id " + std::to_string(tid) +
-                          " >= max_threads " + std::to_string(max_threads));
-}
-}  // namespace detail
 
 template <typename T, typename HelpPolicy = help_all,
           typename PhasePolicy = scan_max_phase, typename Reclaimer = hp_domain,
@@ -665,7 +654,7 @@ class wf_queue : public mem_tracked {
   }
   void check_tid(std::uint32_t tid) const {
     if (tid >= n_) [[unlikely]] {
-      detail::throw_tid_out_of_range(tid, n_);
+      detail::throw_tid_out_of_range("kpq::wf_queue", tid, n_);
     }
   }
 

@@ -95,8 +95,7 @@ class epoch_domain {
     // only delays the free by one advance, never frees early)
     const std::uint64_t e = global_epoch_.load(std::memory_order_acquire);
     t.buckets[e % 3].push_back({p, fn, ctx});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    t.retired.add(1);
     if (++t.since_flush >= flush_threshold_) {
       t.since_flush = 0;
       try_advance(tid);
@@ -137,27 +136,29 @@ class epoch_domain {
     // guards that predate the retirement have exited (else we could not have
     // advanced). Only the owner frees its own buckets.
     if (cur >= 2) {
-      auto& bucket = threads_[tid]->buckets[(cur - 2) % 3];
+      auto& t = threads_[tid].get();
+      auto& bucket = t.buckets[(cur - 2) % 3];
       // Only safe if this bucket's contents were retired at epoch cur-2 (not
       // refilled at cur+1, which maps to the same index). Buckets are
       // emptied here each time the epoch reaches +2, so entries are always
       // from the oldest epoch mapping to the slot.
-      for (auto& item : bucket) {
-        item.fn(item.ctx, item.p);
-        // kpq-order: relaxed pairs-with none (statistics counter for tests)
-        freed_count_.fetch_add(1, std::memory_order_relaxed);
-      }
+      for (auto& item : bucket) item.fn(item.ctx, item.p);
+      t.freed.add(bucket.size());
       bucket.clear();
     }
   }
 
+  // Sums of the per-thread cells: exact at quiescence, an estimate during a
+  // run.
   std::uint64_t retired_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return retired_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& t : threads_) n += t->retired.get();
+    return n;
   }
   std::uint64_t freed_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return freed_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& t : threads_) n += t->freed.get();
+    return n;
   }
   std::uint64_t epoch() const noexcept {
     // kpq-order: acquire pairs-with try_advance's seq_cst epoch CAS
@@ -177,14 +178,14 @@ class epoch_domain {
     std::uint32_t nesting = 0;      // owner-only
     std::uint32_t since_flush = 0;  // owner-only
     std::vector<retired_item> buckets[3];
+    owner_counter retired;
+    owner_counter freed;
   };
 
   std::uint32_t max_threads_;
   std::uint32_t flush_threshold_;
   alignas(destructive_interference) std::atomic<std::uint64_t> global_epoch_{0};
   std::vector<padded<thread_state>> threads_;
-  std::atomic<std::uint64_t> retired_count_{0};
-  std::atomic<std::uint64_t> freed_count_{0};
 };
 
 static_assert(reclaimer_domain<epoch_domain>);

@@ -1,10 +1,15 @@
 // Hazard pointers (Michael, IEEE TPDS 2004) — the wait-free reclamation
 // scheme §3.4 of the paper prescribes for the C++ port of the KP queue.
 //
-// Layout: `max_threads * slots_per_thread` announcement slots, each on its
-// own cache line, plus a per-thread retired list. retire() appends to the
-// owner's list; when the list crosses the scan threshold the owner scans all
-// announcement slots once and frees every retired object not announced.
+// Layout: each thread owns one padded block of announcement slots, 16 to a
+// 128-byte line (the library's padding unit, sync/cacheline.hpp), i.e.
+// ⌈slots_per_thread / 16⌉ lines. No two threads share a line, a scan reads
+// one line per thread rather than one per slot, and a guard's exit clears a
+// single line. Each thread also owns a padded retired list that carries its
+// retire/free statistics as owner-written cells (no shared RMW on the hot
+// path). retire() appends to the owner's list; when the list crosses the
+// scan threshold the owner scans all announcement slots once and frees
+// every retired object not announced.
 //
 // Progress: protect() is a validation loop, but each iteration corresponds
 // to the *source* pointer changing, which in the queues only happens when
@@ -28,12 +33,29 @@
 namespace kpq {
 
 class hp_domain {
+  /// One 128-byte line of announcement slots; a thread's block is
+  /// `lines_per_thread_` consecutive lines.
+  struct alignas(destructive_interference) slot_line {
+    static constexpr std::uint32_t width =
+        destructive_interference / sizeof(std::atomic<void*>);
+    std::atomic<void*> slot[width]{};
+  };
+  static_assert(sizeof(slot_line) == destructive_interference);
+
+  /// Slot `s` of the block that starts at line `b`.
+  template <typename Line>
+  static auto& slot_in(Line* b, std::uint32_t s) noexcept {
+    return b[s / slot_line::width].slot[s % slot_line::width];
+  }
+
  public:
   hp_domain(std::uint32_t max_threads, std::uint32_t slots_per_thread,
             std::uint32_t scan_threshold = 0)
       : max_threads_(max_threads),
         slots_per_thread_(slots_per_thread),
-        slots_(static_cast<std::size_t>(max_threads) * slots_per_thread),
+        lines_per_thread_((slots_per_thread + slot_line::width - 1) /
+                          slot_line::width),
+        lines_(static_cast<std::size_t>(max_threads) * lines_per_thread_),
         retired_(max_threads) {
     scan_threshold_ =
         scan_threshold ? scan_threshold
@@ -63,10 +85,11 @@ class hp_domain {
 
   class guard {
    public:
-    guard(hp_domain& d, std::uint32_t tid) noexcept : d_(&d), tid_(tid) {}
+    guard(hp_domain& d, std::uint32_t tid) noexcept
+        : d_(&d), block_(d.block(tid)) {}
     guard(const guard&) = delete;
     guard& operator=(const guard&) = delete;
-    guard(guard&& o) noexcept : d_(o.d_), tid_(o.tid_) { o.d_ = nullptr; }
+    guard(guard&& o) noexcept : d_(o.d_), block_(o.block_) { o.d_ = nullptr; }
 
     ~guard() {
       if (d_) {
@@ -78,13 +101,23 @@ class hp_domain {
     /// validate that `src` still holds it (otherwise the owner might already
     /// have retired it before seeing our announcement). The seq_cst
     /// store/load pair provides the StoreLoad ordering the protocol needs.
+    ///
+    /// If this thread's slot already holds the pointer just read, the store
+    /// is skipped. Sound because that value came from this thread's own
+    /// seq_cst store (protect or protect_raw; only the owner writes its
+    /// slots, and a clear would have replaced it with null), and that store
+    /// is sequenced before the seq_cst load of `src` that returned it: the
+    /// pair is exactly Michael's announce-then-validate, so any scan that
+    /// could free `p` after this load sees the announcement. The returned
+    /// value still comes from a seq_cst read of `src`, so the queue's SC
+    /// linearization argument (docs/ALGORITHM.md §5) is unchanged.
     template <typename T>
     T* protect(std::uint32_t slot, const std::atomic<T*>& src) noexcept {
-      std::atomic<void*>& h = d_->slot_ref(tid_, slot);
-      // kpq-order: acquire pairs-with the seq_cst CAS that published *p —
-      // only a first guess; the seq_cst announce/validate loop below is
-      // what makes the protection sound
-      T* p = src.load(std::memory_order_acquire);
+      std::atomic<void*>& h = slot_at(slot);
+      T* p = src.load(std::memory_order_seq_cst);
+      // kpq-order: relaxed pairs-with none (reads this thread's own slot,
+      // which only this thread writes: coherence returns its latest store)
+      if (h.load(std::memory_order_relaxed) == p) return p;
       for (;;) {
         h.store(const_cast<std::remove_const_t<T>*>(p),
                 std::memory_order_seq_cst);
@@ -97,21 +130,25 @@ class hp_domain {
     /// Announce a pointer the caller obtained (and will validate) itself.
     template <typename T>
     void protect_raw(std::uint32_t slot, T* p) noexcept {
-      d_->slot_ref(tid_, slot)
-          .store(const_cast<std::remove_const_t<T>*>(p),
-                 std::memory_order_seq_cst);
+      slot_at(slot).store(const_cast<std::remove_const_t<T>*>(p),
+                          std::memory_order_seq_cst);
     }
 
     void clear(std::uint32_t slot) noexcept {
       // kpq-order: release pairs-with scan()'s seq_cst slot read — our
       // preceding reads of *p happen-before a reclaimer frees p; clearing
       // needs no StoreLoad (a late-seen announcement only delays a free)
-      d_->slot_ref(tid_, slot).store(nullptr, std::memory_order_release);
+      slot_at(slot).store(nullptr, std::memory_order_release);
     }
 
    private:
+    std::atomic<void*>& slot_at(std::uint32_t slot) const noexcept {
+      assert(slot < d_->slots_per_thread_);
+      return slot_in(block_, slot);
+    }
+
     hp_domain* d_;
-    std::uint32_t tid_;
+    slot_line* block_;  // this thread's announcement block
   };
 
   guard enter(std::uint32_t tid) noexcept {
@@ -125,8 +162,7 @@ class hp_domain {
     assert(tid < max_threads_);
     auto& r = retired_[tid].get();
     r.items.push_back({p, fn, ctx, 0});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    r.retired.add(1);
     if (r.items.size() >= scan_threshold_) scan(tid);
   }
 
@@ -142,8 +178,7 @@ class hp_domain {
     assert(bytes > 0);
     auto& r = retired_[tid].get();
     r.items.push_back({base, fn, ctx, bytes});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    r.retired.add(1);
     scan(tid);
   }
 
@@ -153,9 +188,11 @@ class hp_domain {
     auto& r = retired_[tid].get();
     std::vector<void*>& announced = r.scratch;
     announced.clear();
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (void* p = slots_[i]->load(std::memory_order_seq_cst)) {
-        announced.push_back(p);
+    for (std::uint32_t t = 0; t < max_threads_; ++t) {
+      for (std::uint32_t s = 0; s < slots_per_thread_; ++s) {
+        if (void* p = slot_ref(t, s).load(std::memory_order_seq_cst)) {
+          announced.push_back(p);
+        }
       }
     }
     std::sort(announced.begin(), announced.end());
@@ -181,8 +218,7 @@ class hp_domain {
       }
     }
     r.items.resize(kept);
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    freed_count_.fetch_add(freed_this_pass, std::memory_order_relaxed);
+    r.freed.add(freed_this_pass);
     // The scan is the reclaimer's only super-constant step (O(H + R)); the
     // trace makes its frequency and yield visible next to the queue events
     // it interleaves with. Compiled out unless KPQ_TRACE.
@@ -194,13 +230,17 @@ class hp_domain {
   }
 
   // --- observability (tests assert reclamation actually happens) ---
+  // Sums of the per-thread cells: exact at quiescence, an estimate during a
+  // run.
   std::uint64_t retired_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return retired_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& r : retired_) n += r->retired.get();
+    return n;
   }
   std::uint64_t freed_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return freed_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& r : retired_) n += r->freed.get();
+    return n;
   }
   std::size_t pending_count() const noexcept {
     std::size_t n = 0;
@@ -213,8 +253,7 @@ class hp_domain {
 
   /// Testing hook: what thread `tid` currently announces in `slot`.
   void* announced(std::uint32_t tid, std::uint32_t slot) const noexcept {
-    return slots_[static_cast<std::size_t>(tid) * slots_per_thread_ + slot]
-        ->load(std::memory_order_seq_cst);
+    return slot_ref(tid, slot).load(std::memory_order_seq_cst);
   }
 
  private:
@@ -227,21 +266,33 @@ class hp_domain {
   struct retired_list {
     std::vector<retired_item> items;
     std::vector<void*> scratch;  // reused across scans
+    owner_counter retired;
+    owner_counter freed;
   };
+
+  slot_line* block(std::uint32_t tid) noexcept {
+    return lines_.data() + static_cast<std::size_t>(tid) * lines_per_thread_;
+  }
+  const slot_line* block(std::uint32_t tid) const noexcept {
+    return lines_.data() + static_cast<std::size_t>(tid) * lines_per_thread_;
+  }
 
   std::atomic<void*>& slot_ref(std::uint32_t tid, std::uint32_t slot) noexcept {
     assert(slot < slots_per_thread_);
-    return slots_[static_cast<std::size_t>(tid) * slots_per_thread_ + slot]
-        .get();
+    return slot_in(block(tid), slot);
+  }
+  const std::atomic<void*>& slot_ref(std::uint32_t tid,
+                                     std::uint32_t slot) const noexcept {
+    assert(slot < slots_per_thread_);
+    return slot_in(block(tid), slot);
   }
 
   std::uint32_t max_threads_;
   std::uint32_t slots_per_thread_;
+  std::uint32_t lines_per_thread_;
   std::uint32_t scan_threshold_;
-  std::vector<padded<std::atomic<void*>>> slots_;
+  std::vector<slot_line> lines_;  // max_threads_ blocks of lines_per_thread_
   std::vector<padded<retired_list>> retired_;
-  std::atomic<std::uint64_t> retired_count_{0};
-  std::atomic<std::uint64_t> freed_count_{0};
 };
 
 static_assert(reclaimer_domain<hp_domain>);

@@ -55,9 +55,9 @@ class leaky_domain {
   }
 
   void retire(std::uint32_t tid, void* p, retire_fn fn, void* ctx) {
-    retired_[tid]->items.push_back({p, fn, ctx});
-    // kpq-order: relaxed pairs-with none (statistics counter for tests)
-    retired_count_.fetch_add(1, std::memory_order_relaxed);
+    auto& r = retired_[tid].get();
+    r.items.push_back({p, fn, ctx});
+    r.retired.add(1);
   }
 
   /// Range retirement: leaked like everything else until the domain dies.
@@ -66,9 +66,12 @@ class leaky_domain {
     retire(tid, base, fn, ctx);
   }
 
+  /// Sum of the per-thread cells: exact at quiescence, an estimate during
+  /// a run.
   std::uint64_t retired_count() const noexcept {
-    // kpq-order: relaxed pairs-with none (statistics read; may lag)
-    return retired_count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& r : retired_) n += r->retired.get();
+    return n;
   }
   std::uint64_t freed_count() const noexcept { return 0; }
 
@@ -80,11 +83,11 @@ class leaky_domain {
   };
   struct retired_list {
     std::vector<retired_item> items;
+    owner_counter retired;
   };
 
   std::uint32_t max_threads_;
   std::vector<padded<retired_list>> retired_;
-  std::atomic<std::uint64_t> retired_count_{0};
 };
 
 static_assert(reclaimer_domain<leaky_domain>);

@@ -59,6 +59,29 @@ namespace kpq {
 /// Type-erased deleter: fn(ctx, object).
 using retire_fn = void (*)(void*, void*);
 
+/// A statistics cell only its owner thread writes: add() is a relaxed load
+/// plus a relaxed store, not an RMW, so counting a retirement costs no
+/// locked instruction and no shared cache line. Every domain keeps one pair
+/// (retired, freed) per thread inside that thread's padded state; the
+/// domain's retired_count()/freed_count() sum the cells, exact at
+/// quiescence and an estimate during a run.
+class owner_counter {
+ public:
+  void add(std::uint64_t n) noexcept {
+    // kpq-order: relaxed pairs-with none (owner-thread statistics cell; the
+    // non-RMW load+store is safe because only the owner ever writes it)
+    v_.store(v_.load(std::memory_order_relaxed) + n,
+             std::memory_order_relaxed);
+  }
+  std::uint64_t get() const noexcept {
+    // kpq-order: relaxed pairs-with none (statistics read; may lag)
+    return v_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  std::atomic<std::uint64_t> v_{0};
+};
+
 template <typename R>
 concept reclaimer_domain = requires(R r, std::uint32_t tid, std::uint32_t slot,
                                     std::atomic<int*>& src, int* p, void* ctx,

@@ -134,7 +134,7 @@ class sharded_queue : public mem_tracked {
   // ------------------------------------------------------------------ single
 
   void enqueue(value_type v, std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     const scan_table* t = elastic_.table();
     const std::uint32_t s = route_enqueue(t, policy_.enqueue_shard(tid, v));
     shards_[s]->enqueue(std::move(v), tid);
@@ -147,7 +147,7 @@ class sharded_queue : public mem_tracked {
   /// deactivated tail so a reshard never strands items). At most one inner
   /// dequeue per pool slot per call, hence wait-free (see file comment).
   std::optional<value_type> dequeue(std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     const scan_table* t = elastic_.table();
     const std::uint32_t home = route_home(t, tid);
     for (std::uint32_t k = 0; k <= nshards_; ++k) {
@@ -182,8 +182,8 @@ class sharded_queue : public mem_tracked {
   /// the inner queue has no native bulk hook (kpq::enqueue_bulk dispatch).
   template <typename It>
   void enqueue_bulk(It first, It last, std::uint32_t tid) {
+    check_tid(tid);
     if (first == last) return;
-    assert(tid < n_);
     const scan_table* t = elastic_.table();
     const std::uint32_t s =
         route_enqueue(t, policy_.enqueue_shard(tid, *first));
@@ -199,7 +199,7 @@ class sharded_queue : public mem_tracked {
   /// moved.
   std::size_t dequeue_bulk(std::vector<value_type>& out, std::size_t max,
                            std::uint32_t tid) {
-    assert(tid < n_);
+    check_tid(tid);
     const scan_table* t = elastic_.table();
     const std::uint32_t home = route_home(t, tid);
     std::size_t got = 0;
@@ -276,6 +276,7 @@ class sharded_queue : public mem_tracked {
   /// True if every shard looked empty at some point during the call (the
   /// relaxed emptiness the dequeue scan acts on; see file comment).
   bool empty_hint(std::uint32_t tid) {
+    check_tid(tid);
     for (std::uint32_t s = 0; s < nshards_; ++s) {
       if (!shards_[s]->empty_hint(tid)) return false;
     }
@@ -291,6 +292,15 @@ class sharded_queue : public mem_tracked {
   }
 
  private:
+  /// Throw before any routing: a policy such as round_robin advances its
+  /// cursor on every call, so a bad id must not reach it (nor index past
+  /// the inner queues' per-thread arrays in a release build).
+  void check_tid(std::uint32_t tid) const {
+    if (tid >= n_) [[unlikely]] {
+      detail::throw_tid_out_of_range("kpq::sharded_queue", tid, n_);
+    }
+  }
+
   /// Map a policy verdict (in [0, capacity)) onto the active set of the
   /// loaded table. Identity when all shards are active, so the static
   /// configuration routes exactly as before elasticity existed.

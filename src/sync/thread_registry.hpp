@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "sync/cacheline.hpp"
 
@@ -54,5 +56,17 @@ class thread_registry {
 inline std::uint32_t this_thread_id() noexcept {
   return thread_registry::current_tid();
 }
+
+namespace detail {
+/// Cold path of a container's entry-point thread-id check (`tid` must be
+/// below the `max_threads` it was built for): kept out of line so the hot
+/// path pays one compare and a not-taken branch.
+[[noreturn, gnu::cold, gnu::noinline]] inline void throw_tid_out_of_range(
+    const char* container, std::uint32_t tid, std::uint32_t max_threads) {
+  throw std::out_of_range(std::string(container) + ": thread id " +
+                          std::to_string(tid) + " >= max_threads " +
+                          std::to_string(max_threads));
+}
+}  // namespace detail
 
 }  // namespace kpq

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -113,6 +115,37 @@ TEST(MsQueueReclamation, NodesAreActuallyFreed) {
     ASSERT_TRUE(q.dequeue(0).has_value());
   }
   EXPECT_GT(q.reclaimer().freed_count(), 0u);
+}
+
+// ------------------------------------------------------------------ misuse
+// A thread id >= max_threads indexes past the reclaimer's per-thread slot
+// table. The check is a real compare, not an assert, so this holds in the
+// default (NDEBUG) build: the call throws std::out_of_range before
+// reclaim_.enter, and the queue stays usable.
+
+template <typename Q>
+class MsQueueMisuseTest : public ::testing::Test {};
+
+using MsQueueTypes =
+    ::testing::Types<ms_queue<std::uint64_t>, ms_queue<std::uint64_t, epoch_domain>,
+                     ms_queue<std::uint64_t, leaky_domain>>;
+TYPED_TEST_SUITE(MsQueueMisuseTest, MsQueueTypes);
+
+TYPED_TEST(MsQueueMisuseTest, OutOfRangeTidThrowsAndLeavesQueueIntact) {
+  TypeParam q(2);
+  q.enqueue(1u, 0);
+  for (std::uint32_t bad : {2u, 3u, 1u << 20, 0xFFFFFFFFu}) {
+    EXPECT_THROW(q.enqueue(9u, bad), std::out_of_range);
+    EXPECT_THROW((void)q.dequeue(bad), std::out_of_range);
+    EXPECT_THROW((void)q.empty_hint(bad), std::out_of_range);
+  }
+  EXPECT_EQ(q.unsafe_size(), 1u);
+  EXPECT_EQ(q.reclaimer().retired_count(), 0u);
+  EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(1u));
+  EXPECT_EQ(q.dequeue(1), std::nullopt);
+  q.enqueue(2u, 1);
+  EXPECT_EQ(q.dequeue(0), std::optional<std::uint64_t>(2u));
+  EXPECT_TRUE(q.empty_hint(1));
 }
 
 TEST(MsQueueMemory, CountersBalance) {

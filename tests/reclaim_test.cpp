@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -130,6 +131,164 @@ TEST_F(HpFixture, ProtectFollowsConcurrentSwaps) {
   churner.join();
   EXPECT_GT(reads, 0u);
   delete src.exchange(nullptr);
+}
+
+// protect() skips the store when the slot already holds the value it just
+// read; these pin both sides of that comparison.
+
+TEST_F(HpFixture, ReprotectChangedSourceAnnouncesNewValue) {
+  hp_domain d(2, 2);
+  tracked* a = new tracked(1);
+  tracked* b = new tracked(2);
+  std::atomic<tracked*> src{a};
+  auto g = d.enter(0);
+  EXPECT_EQ(g.protect(0, src), a);
+  EXPECT_EQ(d.announced(0, 0), a);
+  src.store(b);
+  EXPECT_EQ(g.protect(0, src), b);
+  EXPECT_EQ(d.announced(0, 0), b) << "slot still names the old pointer";
+  g.clear(0);
+  delete a;
+  delete b;
+}
+
+TEST_F(HpFixture, ReprotectSameValueKeepsAnnouncement) {
+  hp_domain d(2, 2, /*scan_threshold=*/1);  // scan on every retire
+  std::atomic<tracked*> src{new tracked(4)};
+  auto g0 = d.enter(0);
+  tracked* p = g0.protect(0, src);
+  EXPECT_EQ(g0.protect(0, src), p);
+  EXPECT_EQ(d.announced(0, 0), p);
+
+  // Another thread unlinks and retires p; its scan must see the (single,
+  // re-used) announcement and keep p alive.
+  std::thread other([&] {
+    src.store(new tracked(5));
+    d.retire(1, p, &delete_tracked, nullptr);
+  });
+  other.join();
+  EXPECT_EQ(tracked::live.load(), 2) << "re-protected object freed";
+  EXPECT_EQ(p->payload, 4);
+
+  g0.clear(0);
+  d.retire(1, src.exchange(nullptr), &delete_tracked, nullptr);
+  EXPECT_EQ(tracked::live.load(), 0);
+}
+
+TEST_F(HpFixture, LongLivedGuardFollowsConcurrentSwaps) {
+  // As ProtectFollowsConcurrentSwaps, but one guard spans the whole loop and
+  // its slot is never cleared, so every read where `src` has not moved takes
+  // the skipped-store path while the churner keeps retiring.
+  hp_domain d(2, 1, /*scan_threshold=*/4);
+  std::atomic<tracked*> src{new tracked(0)};
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<bool> stop{false};
+
+  // Every 16 swaps the churner waits for the reader to take another read,
+  // so the reads interleave with the churn even where the scheduler would
+  // otherwise run one thread's whole loop in a single time slice. The first
+  // read already holds an announcement, so every swap lands while the slot
+  // is non-null.
+  std::thread churner([&] {
+    for (int i = 1; i < 4000; ++i) {
+      if (i % 16 == 1) {
+        const std::uint64_t seen = reads.load();
+        while (reads.load() == seen) std::this_thread::yield();
+      }
+      tracked* fresh = new tracked(i);
+      tracked* old = src.exchange(fresh);
+      d.retire(1, old, &delete_tracked, nullptr);
+    }
+    stop.store(true);
+  });
+
+  std::uint64_t changes = 0;
+  std::uint64_t unannounced = 0;
+  std::uint64_t bad_payload = 0;
+  {
+    auto g = d.enter(0);
+    tracked* last = nullptr;
+    while (!stop.load()) {
+      tracked* p = g.protect(0, src);
+      changes += p != last;
+      last = p;
+      unannounced += d.announced(0, 0) != p;
+      bad_payload += p->payload < 0 || p->payload >= 4000;
+      reads.fetch_add(1);
+    }
+  }
+  churner.join();
+  EXPECT_EQ(unannounced, 0u) << "protect returned a pointer its slot lacks";
+  EXPECT_EQ(bad_payload, 0u);
+  EXPECT_GE(changes, 200u) << "the reads did not interleave with the churn";
+  delete src.exchange(nullptr);
+}
+
+TEST_F(HpFixture, CountersSumAcrossThreads) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr int kPerThread = 1000;
+  hp_domain d(kThreads, 2, /*scan_threshold=*/16);
+  std::vector<std::thread> workers;
+  for (std::uint32_t tid = 0; tid < kThreads; ++tid) {
+    workers.emplace_back([&d, tid] {
+      for (int i = 0; i < kPerThread; ++i) {
+        d.retire(tid, new tracked(i), &delete_tracked, nullptr);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(d.retired_count(), std::uint64_t{kThreads} * kPerThread);
+  EXPECT_EQ(d.freed_count() + d.pending_count(), d.retired_count());
+  EXPECT_GT(d.freed_count(), 0u);
+  EXPECT_EQ(static_cast<std::size_t>(tracked::live.load()), d.pending_count());
+}
+
+TEST_F(HpFixture, SlotLayoutIsolatesThreads) {
+  // 5 slots fit one line; 17 spill into a second, so the block arithmetic
+  // and the scan both cross a line boundary.
+  for (std::uint32_t slots : {5u, 17u}) {
+    SCOPED_TRACE(slots);
+    constexpr std::uint32_t kThreads = 3;
+    hp_domain d(kThreads, slots, /*scan_threshold=*/1000);  // scan by hand
+    std::vector<int> cells(kThreads * slots);
+    auto cell = [&](std::uint32_t t, std::uint32_t s) {
+      return &cells[t * slots + s];
+    };
+    std::vector<std::optional<hp_domain::guard>> guards(kThreads);
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      guards[t].emplace(d.enter(t));
+      for (std::uint32_t s = 0; s < slots; ++s) {
+        guards[t]->protect_raw(s, cell(t, s));
+      }
+    }
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      for (std::uint32_t s = 0; s < slots; ++s) {
+        ASSERT_EQ(d.announced(t, s), cell(t, s)) << "tid " << t << " slot " << s;
+      }
+    }
+
+    // Every announced cell survives a scan.
+    static int frees = 0;
+    frees = 0;
+    auto count_free = [](void*, void*) { ++frees; };
+    for (int& c : cells) d.retire(0, &c, count_free, nullptr);
+    d.scan(0);
+    EXPECT_EQ(frees, 0);
+
+    // Thread 1's guard exits: only its slots clear, and only its cells free.
+    guards[1].reset();
+    for (std::uint32_t t = 0; t < kThreads; ++t) {
+      for (std::uint32_t s = 0; s < slots; ++s) {
+        EXPECT_EQ(d.announced(t, s), t == 1 ? nullptr : cell(t, s))
+            << "tid " << t << " slot " << s;
+      }
+    }
+    d.scan(0);
+    EXPECT_EQ(frees, static_cast<int>(slots));
+    guards.clear();
+    d.scan(0);
+    EXPECT_EQ(frees, static_cast<int>(kThreads * slots));
+  }
 }
 
 // ------------------------------------------------------------------- epoch

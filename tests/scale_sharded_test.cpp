@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -114,6 +116,48 @@ TEST(ShardedQueue, KeyHashKeepsEqualKeysTogether) {
   EXPECT_EQ(value_seq(*q.dequeue(3)), 0u);
   EXPECT_EQ(value_seq(*q.dequeue(3)), 1u);
   EXPECT_EQ(value_seq(*q.dequeue(3)), 2u);
+}
+
+// ------------------------------------------------------------------ misuse
+// An out-of-range thread id is refused before routing: the call throws
+// std::out_of_range (in the NDEBUG build too), no policy state or shard
+// counter moves, and the queue keeps working for valid ids.
+
+TEST(ShardedQueueMisuseTest, OutOfRangeTidThrowsAndLeavesQueueIntact) {
+  sharded_wf q(2, 2);
+  q.enqueue(1u, 0);
+  std::vector<std::uint64_t> in{7u, 8u}, out;
+  for (std::uint32_t bad : {2u, 3u, 1u << 20, 0xFFFFFFFFu}) {
+    EXPECT_THROW(q.enqueue(9u, bad), std::out_of_range);
+    EXPECT_THROW((void)q.dequeue(bad), std::out_of_range);
+    EXPECT_THROW((void)q.empty_hint(bad), std::out_of_range);
+    EXPECT_THROW(q.enqueue_bulk(in.begin(), in.end(), bad), std::out_of_range);
+    EXPECT_THROW(q.enqueue_bulk(in.begin(), in.begin(), bad),
+                 std::out_of_range);
+    EXPECT_THROW((void)q.dequeue_bulk(out, 4, bad), std::out_of_range);
+  }
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(q.unsafe_size(), 1u);
+  const shard_stats total = q.aggregate_counters();
+  EXPECT_EQ(total.enqueued, 1u);
+  EXPECT_EQ(total.dequeued, 0u);
+  EXPECT_EQ(total.empty_scans, 0u);
+  EXPECT_EQ(total.batch_ops, 0u);
+  EXPECT_EQ(q.dequeue(1), std::optional<std::uint64_t>(1u));
+  EXPECT_EQ(q.dequeue(1), std::nullopt);
+}
+
+TEST(ShardedQueueMisuseTest, RefusedEnqueueDoesNotAdvanceRoundRobin) {
+  // round_robin's cursor advances on every routed enqueue; a refused call
+  // must not consume a turn, so valid enqueues still spread evenly.
+  sharded_queue<inner_q, round_robin_shards> q(4, 2);
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    EXPECT_THROW(q.enqueue(i, 5), std::out_of_range);
+    q.enqueue(i, 0);
+  }
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    EXPECT_EQ(q.shard(s).unsafe_size(), 2u) << "shard " << s;
+  }
 }
 
 TEST(ShardedQueue, BulkRoutesAsOneUnitAndCounts) {
