@@ -5,8 +5,7 @@
 //     optimization 2 in isolation);
 //   * hazard-pointer protect/clear vs plain atomic load (what §3.4's
 //     prescription costs per read);
-//   * descriptor cache on/off (§3.3 enhancement 1);
-//   * §3.3 enhancement 2 (descriptor scrub on exit);
+//   * helping policy and §3.3 enhancement 3 (precheck_cas);
 //   * thread-registry id lookup (the hidden cost of the tid-free API).
 #include <benchmark/benchmark.h>
 
@@ -115,18 +114,6 @@ BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
                    wf_queue<std::uint64_t, help_all, fetch_add_phase>)
     ->Name("help/help_all(n=8)");
 
-BENCHMARK_TEMPLATE(
-    bm_queue_pairs_1thread,
-    wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain, wf_options>)
-    ->Name("desc_cache/on");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-                            wf_options_no_cache>)
-    ->Name("desc_cache/off");
-BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
-                   wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
-                            wf_options_scrub>)
-    ->Name("scrub_on_exit/on");
 BENCHMARK_TEMPLATE(bm_queue_pairs_1thread,
                    wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
                             wf_options_precheck>)

@@ -56,14 +56,14 @@ for mode in "${modes[@]}"; do
     filter=(-R 'Storage|Bounded|Segment|RetireRange|MemAccounting|Reclaim')
   elif [[ "$mode" == "tsan-scale-adaptive" ]]; then
     # Shortcut: TSan over the elastic-sharding layer — scan-table publishes,
-    # the tuner's control loop against live workers, the runtime patience
-    # knob, and the table-routed sharded suites. Built with KPQ_TRACE=ON so
+    # the tuner's control loop against live workers, and the table-routed
+    # sharded suites. Built with KPQ_TRACE=ON so
     # the tuner's trace writes race-check against the workers' ring writes
     # (its own build dir: the tracing default changes codegen everywhere).
     mode=thread
     dir_tag=scale-adaptive
     extra_cmake=(-DKPQ_TRACE=ON)
-    filter=(-R 'Adaptive|Elastic|Tuner|ScanTable|Sharded|Bulk|HelpChunk')
+    filter=(-R 'Adaptive|Elastic|Tuner|ScanTable|Sharded|Bulk')
   elif [[ "$mode" == "tsan-async" ]]; then
     # Shortcut: TSan over the waiter_hub continuation layer and everything
     # rebuilt on it — thread parkers (blocking_adapter, the bounded queue's

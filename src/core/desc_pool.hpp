@@ -20,8 +20,6 @@
 // Each thread owns its own free list, so the pool needs no synchronization.
 // The list holds at most `cache_cap` descriptors (the queue sizes it to one
 // reclamation batch); beyond that a descriptor goes back to the allocator.
-// A disabled pool (descriptor_cache = false) reuses nothing: both paths
-// delete.
 #pragma once
 
 #include <atomic>
@@ -45,10 +43,9 @@ class desc_pool {
  public:
   using desc_type = op_desc<T, Stamped>;
 
-  desc_pool(std::uint32_t max_threads, bool enabled,
-            const mem_tracked* accounting, std::size_t cache_cap = 64)
-      : enabled_(enabled),
-        cache_cap_(cache_cap),
+  desc_pool(std::uint32_t max_threads, const mem_tracked* accounting,
+            std::size_t cache_cap = 64)
+      : cache_cap_(cache_cap),
         accounting_(accounting),
         free_(max_threads) {
     for (auto& f : free_) f->owner = this;
@@ -120,7 +117,7 @@ class desc_pool {
   };
 
   void give_back(free_list& list, desc_type* d) noexcept {
-    if (enabled_ && list.items.size() < cache_cap_) {
+    if (list.items.size() < cache_cap_) {
       list.items.push_back(d);
       poison(d);
     } else {
@@ -150,7 +147,6 @@ class desc_pool {
 #endif
   }
 
-  bool enabled_;
   std::size_t cache_cap_;
   const mem_tracked* accounting_;  // the owning queue's accounting sink
   std::vector<padded<free_list>> free_;

@@ -17,7 +17,6 @@
 // help_enq/help_deq.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -52,7 +51,6 @@ struct help_all {
       q.help_if_needed(i, phase, g, my_tid);
     }
   }
-  static constexpr const char* name = "help_all";
 };
 
 /// §3.3 generalization: "a thread may traverse only a chunk of the state
@@ -78,60 +76,8 @@ struct help_chunk {
     }
     q.help_if_needed(my_tid, phase, g, my_tid);
   }
-  static constexpr const char* name = "help_chunk";
 
   std::vector<padded<std::uint32_t>> cursor_;
-};
-
-/// Runtime-adaptive chunk width: help_chunk with the chunk size K turned
-/// into an atomic knob a tuner can adjust between [1, Ceiling] while
-/// operations are in flight. Each run() reads the knob ONCE and clamps it
-/// against the compile-time Ceiling, so the per-operation helping cost is
-/// always <= Ceiling+1 slots and wait-freedom keeps its deterministic bound
-/// (a stalled operation is reached after at most ceil(n/1) = n invocations
-/// of each peer even at the minimum width). This mirrors the runtime
-/// patience knob of wf_queue's fast path (set_patience) — both adapt WITHIN
-/// a compile-time box, never the box itself.
-template <std::uint32_t Ceiling = 8>
-struct help_chunk_rt {
-  static_assert(Ceiling >= 1);
-  static constexpr std::uint32_t chunk_ceiling = Ceiling;
-
-  explicit help_chunk_rt(std::uint32_t max_threads) : cursor_(max_threads) {}
-
-  /// Tuner-facing knob; clamped to [1, Ceiling]. Relaxed is enough: the
-  /// value only sizes the next helping pass, it orders nothing.
-  void set_chunk(std::uint32_t k) noexcept {
-    k = k < 1 ? 1 : (k > Ceiling ? Ceiling : k);
-    // kpq-order: relaxed pairs-with none (tuning knob; any recent value is
-    // valid — the reader re-clamps before use, no data is published through it)
-    chunk_.value.store(k, std::memory_order_relaxed);
-  }
-  std::uint32_t chunk() const noexcept {
-    // kpq-order: relaxed pairs-with none (tuning knob read; may lag)
-    return chunk_.value.load(std::memory_order_relaxed);
-  }
-
-  template <typename Queue, typename Guard>
-  void run(Queue& q, std::uint32_t my_tid, std::int64_t phase, Guard& g) {
-    const std::uint32_t n = q.max_threads();
-    // kpq-order: relaxed pairs-with none (tuning knob; sizes this helping
-    // pass only — wait-freedom holds for any value in [1, Ceiling])
-    const std::uint32_t raw = chunk_.value.load(std::memory_order_relaxed);
-    const std::uint32_t width = raw > Ceiling ? Ceiling : (raw < 1 ? 1 : raw);
-    std::uint32_t& k = cursor_[my_tid].value;  // owner-only cursor
-    trace_help_scan<Queue>(my_tid, width + 1);
-    for (std::uint32_t step = 0; step < width; ++step) {
-      const std::uint32_t candidate = k;
-      k = (k + 1 == n) ? 0 : k + 1;
-      if (candidate != my_tid) q.help_if_needed(candidate, phase, g, my_tid);
-    }
-    q.help_if_needed(my_tid, phase, g, my_tid);
-  }
-  static constexpr const char* name = "help_chunk_rt";
-
-  std::vector<padded<std::uint32_t>> cursor_;
-  padded<std::atomic<std::uint32_t>> chunk_{1u};
 };
 
 /// §3.3 alternative: "each thread might traverse a random chunk of the
@@ -157,28 +103,11 @@ struct help_random {
     if (candidate != my_tid) q.help_if_needed(candidate, phase, g, my_tid);
     q.help_if_needed(my_tid, phase, g, my_tid);
   }
-  static constexpr const char* name = "help_random";
 
   std::vector<padded<std::uint64_t>> rng_state_;
 };
 
-struct help_one {
-  explicit help_one(std::uint32_t max_threads) : cursor_(max_threads) {}
-
-  template <typename Queue, typename Guard>
-  void run(Queue& q, std::uint32_t my_tid, std::int64_t phase, Guard& g) {
-    const std::uint32_t n = q.max_threads();
-    std::uint32_t& k = cursor_[my_tid].value;  // owner-only cursor
-    trace_help_scan<Queue>(my_tid, 2);
-    const std::uint32_t candidate = k;
-    k = (k + 1 == n) ? 0 : k + 1;
-    if (candidate != my_tid) q.help_if_needed(candidate, phase, g, my_tid);
-    // Our own operation must always complete before run() returns.
-    q.help_if_needed(my_tid, phase, g, my_tid);
-  }
-  static constexpr const char* name = "help_one";
-
-  std::vector<padded<std::uint32_t>> cursor_;
-};
+/// Optimization 1 (file comment): the K=1 chunk.
+using help_one = help_chunk<1>;
 
 }  // namespace kpq

@@ -33,8 +33,6 @@ struct scan_max_phase {
   std::int64_t next_phase(Queue& q, Guard& g, std::uint32_t /*tid*/) noexcept {
     return q.max_phase(g) + 1;  // paper line 62 / 99
   }
-  static constexpr const char* name = "scan_max_phase";
-  static constexpr bool scans_state = true;
 };
 
 struct fetch_add_phase {
@@ -48,8 +46,6 @@ struct fetch_add_phase {
     // because only the counter's own modification order matters
     return counter.value.fetch_add(1, std::memory_order_acq_rel);
   }
-  static constexpr const char* name = "fetch_add_phase";
-  static constexpr bool scans_state = false;
 
   padded<std::atomic<std::int64_t>> counter{std::int64_t{0}};
 };
@@ -70,8 +66,6 @@ struct cas_phase {
                                           std::memory_order_acq_rel);
     return cur;
   }
-  static constexpr const char* name = "cas_phase";
-  static constexpr bool scans_state = false;
 
   padded<std::atomic<std::int64_t>> counter{std::int64_t{0}};
 };

@@ -43,12 +43,12 @@
 // steps, see reclaim/epoch.hpp).
 //
 // Optional fast path (§3.3's closing suggestion, `wf_queue_fps`): with
-// Options::max_tries_ceiling > 0 every operation first helps one announced
-// peer (cyclic probe), then makes up to `patience` plain Michael–Scott
-// attempts, and only then announces as above. Fast enqueues link nodes with
+// Options::max_tries > 0 every operation first helps one announced peer
+// (cyclic probe), then makes up to max_tries plain Michael–Scott attempts,
+// and only then announces as above. Fast enqueues link nodes with
 // enq_tid == no_tid; fast dequeues claim the sentinel's deqTid with
 // fast_claim_base + tid. help_finish_enq/help_finish_deq finish either kind.
-// With a ceiling of 0 (the default) every fast-path branch and member folds
+// With max_tries == 0 (the default) every fast-path branch and member folds
 // away under `if constexpr`. docs/ALGORITHM.md §3.1 has the design.
 #pragma once
 
@@ -90,8 +90,8 @@ struct no_hooks {
   /// fast path this is the slow-path announce.
   static void after_publish(std::uint32_t /*tid*/, bool /*is_enqueue*/) {}
   // A hooks struct may also provide `on_fast_attempt(tid, is_enqueue)`,
-  // called once per fast-path attempt; the step-bound tests count these to
-  // prove the runtime patience knob never exceeds its compile-time ceiling.
+  // called once per fast-path attempt; the step-bound test counts these to
+  // prove no operation makes more than Options::max_tries of them.
 };
 
 /// Compile-time switches for the paper's §3.3 enhancements.
@@ -114,58 +114,27 @@ struct wf_options {
   using residency = obs::no_residency;
   /// Per-thread operation counters (wf_counters); zero-cost when off.
   static constexpr bool collect_stats = false;
-  /// Enhancement 1: cache descriptors whose installing CAS failed, and
-  /// retired ones once the reclaimer returns them. false reuses neither.
-  static constexpr bool descriptor_cache = true;
-  /// Enhancement 2: replace the descriptor with a node-free dummy when an
-  /// operation returns, so a finished descriptor does not keep naming a
-  /// node. (In Java this unpins memory from the GC; here it is provided for
-  /// fidelity/ablation — C++ descriptors do not own their node.)
-  static constexpr bool scrub_on_exit = false;
   /// Enhancement 3: "check whether the pending flag is already switched off
   /// before applying CAS in Lines 93 or 149" — skips the descriptor
   /// allocation and the CAS when another helper already completed step (2).
+  /// (Enhancement 1, the descriptor cache, is always on — core/desc_pool.hpp;
+  /// enhancement 2 is not ported: a C++ descriptor pins no memory.)
   static constexpr bool precheck_cas = false;
   /// Fast path: Michael–Scott attempts before announcing on the slow path
-  /// (the paper's MAX_FAILURES patience). This is the *initial* value of a
-  /// runtime knob (set_patience), clamped to [0, max_tries_ceiling].
+  /// (the paper's MAX_FAILURES patience, a constant as in §3.3). 0 compiles
+  /// the fast path out — the paper's announce-always queue.
   static constexpr std::uint32_t max_tries = 0;
-  /// Hard ceiling on runtime patience: every operation reads the knob once
-  /// and clamps against it, so the step bound stays a compile-time constant.
-  /// 0 compiles the fast path out — the paper's announce-always queue.
-  static constexpr std::uint32_t max_tries_ceiling = 0;
 };
 
 /// The fast-path/slow-path queue's options (wf_queue_fps).
 struct fps_options : wf_options {
   static constexpr std::uint32_t max_tries = 8;
-  static constexpr std::uint32_t max_tries_ceiling = 64;
 };
 /// Item-residency tracking on for the fast-path/slow-path queue.
 struct fps_options_residency : fps_options {
   using residency = obs::tick_residency;
 };
 
-/// Fast-path patience from the Options, detected structurally like the
-/// residency policy: an options struct without the members gets 0 (no fast
-/// path).
-template <typename O>
-inline constexpr std::uint32_t max_tries_of = 0;
-template <typename O>
-  requires requires { O::max_tries; }
-inline constexpr std::uint32_t max_tries_of<O> = O::max_tries;
-template <typename O>
-inline constexpr std::uint32_t max_tries_ceiling_of = 0;
-template <typename O>
-  requires requires { O::max_tries_ceiling; }
-inline constexpr std::uint32_t max_tries_ceiling_of<O> = O::max_tries_ceiling;
-
-struct wf_options_no_cache : wf_options {
-  static constexpr bool descriptor_cache = false;
-};
-struct wf_options_scrub : wf_options {
-  static constexpr bool scrub_on_exit = true;
-};
 struct wf_options_precheck : wf_options {
   static constexpr bool precheck_cas = true;
 };
@@ -197,6 +166,10 @@ struct wf_counters {
   std::uint64_t link_cas_failures = 0;
   /// Descriptor installs that lost their CAS (recycled via the pool).
   std::uint64_t desc_cas_failures = 0;
+  /// Of enq_ops/deq_ops, those completed on the fast path (0 without one);
+  /// the rest announced on the slow path.
+  std::uint64_t fast_enqs = 0;
+  std::uint64_t fast_deqs = 0;
 
   wf_counters& operator+=(const wf_counters& o) {
     enq_ops += o.enq_ops;
@@ -206,34 +179,8 @@ struct wf_counters {
     helped_deq_completions += o.helped_deq_completions;
     link_cas_failures += o.link_cas_failures;
     desc_cas_failures += o.desc_cas_failures;
-    return *this;
-  }
-};
-
-/// Fast/slow path split of a queue with a fast path (owner-thread-updated,
-/// one non-RMW relaxed store per operation). The slow-path share is the
-/// tuner's contention signal for the patience knob: a rising share means
-/// fast-path CAS attempts are being burned by contention.
-struct fps_path_stats {
-  std::uint64_t fast_enqs = 0;
-  std::uint64_t slow_enqs = 0;
-  std::uint64_t fast_deqs = 0;
-  std::uint64_t slow_deqs = 0;
-
-  std::uint64_t ops() const noexcept {
-    return fast_enqs + slow_enqs + fast_deqs + slow_deqs;
-  }
-  double slow_rate() const noexcept {
-    const std::uint64_t n = ops();
-    return n == 0 ? 0.0
-                  : static_cast<double>(slow_enqs + slow_deqs) /
-                        static_cast<double>(n);
-  }
-  fps_path_stats& operator+=(const fps_path_stats& o) noexcept {
     fast_enqs += o.fast_enqs;
-    slow_enqs += o.slow_enqs;
     fast_deqs += o.fast_deqs;
-    slow_deqs += o.slow_deqs;
     return *this;
   }
 };
@@ -242,7 +189,7 @@ template <typename T, typename HelpPolicy = help_all,
           typename PhasePolicy = scan_max_phase, typename Reclaimer = hp_domain,
           typename Options = wf_options,
           typename Storage = heap_node_storage<
-              T, wf_node<T, obs::residency_policy_t<Options>::enabled>>>
+              T, wf_node<T, Options::residency::enabled>>>
 class wf_queue : public mem_tracked {
   static_assert(std::is_default_constructible_v<T>,
                 "op_desc carries a T payload slot");
@@ -253,9 +200,7 @@ class wf_queue : public mem_tracked {
                 "(storage/storage_concepts.hpp)");
 
  public:
-  /// Residency policy from the Options (structural: absent member means
-  /// no_residency, so pre-existing options structs keep compiling).
-  using residency_type = obs::residency_policy_t<Options>;
+  using residency_type = typename Options::residency;
   static constexpr bool track_residency = residency_type::enabled;
 
   using value_type = T;
@@ -263,7 +208,6 @@ class wf_queue : public mem_tracked {
   using desc_type = op_desc<T, track_residency>;
   using reclaimer_type = Reclaimer;
   using storage_type = Storage;
-  using help_policy_type = HelpPolicy;
   using pool_type = desc_pool<T, track_residency>;
   static_assert(std::is_same_v<typename Storage::node_type, node_type>,
                 "Storage must be instantiated with the queue's node type — "
@@ -273,12 +217,8 @@ class wf_queue : public mem_tracked {
   /// the queue, not the options) can hit the same sink.
   using trace_type = typename Options::trace;
 
-  /// Fast-path patience ceiling; 0 means no fast path is compiled.
-  static constexpr std::uint32_t patience_ceiling =
-      max_tries_ceiling_of<Options>;
-  static constexpr bool has_fast_path = patience_ceiling > 0;
-  static_assert(max_tries_of<Options> <= patience_ceiling,
-                "initial patience must respect the compile-time ceiling");
+  /// Options::max_tries == 0 compiles no fast path.
+  static constexpr bool has_fast_path = Options::max_tries > 0;
 
   /// deqTid encoding: no_tid free, [0, n) slow-path claim by that thread,
   /// fast_claim_base + tid a fast-path claim (no descriptor to complete).
@@ -307,7 +247,7 @@ class wf_queue : public mem_tracked {
   explicit wf_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
       : n_(checked_max_threads(max_threads)),
         storage_(max_threads, this),
-        pool_(max_threads, Options::descriptor_cache, this,
+        pool_(max_threads, this,
               hp_domain::default_scan_threshold(max_threads * hp_slots)),
         reclaim_(max_threads, hp_slots),
         help_(max_threads),
@@ -376,7 +316,6 @@ class wf_queue : public mem_tracked {
       if constexpr (track_residency) node->enq_ts = residency_type::now();
       if (fast_enqueue(tid, node, g)) return;
       // Slow path: adopt the node (it was never linked) and announce.
-      count_path(tid, /*slow=*/true, /*is_enq=*/true);
       node->enq_tid = static_cast<std::int32_t>(tid);
       announce_enq(tid, phase_.next_phase(*this, g, tid), node, g);
     } else {
@@ -387,7 +326,6 @@ class wf_queue : public mem_tracked {
       if constexpr (track_residency) node->enq_ts = residency_type::now();
       announce_enq(tid, phase, node, g);  // lines 63-65
     }
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
   }
 
   // ---------------------------------------------------------------- dequeue
@@ -402,12 +340,9 @@ class wf_queue : public mem_tracked {
       help_someone(tid, g);
       std::optional<T> fast;
       if (fast_dequeue(tid, g, fast)) return fast;
-      count_path(tid, /*slow=*/true, /*is_enq=*/false);
     }
     const std::int64_t phase = phase_.next_phase(*this, g, tid);  // line 99
-    std::optional<T> result = announce_deq(tid, phase, g);  // lines 100-107
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
-    return result;
+    return announce_deq(tid, phase, g);  // lines 100-107
   }
 
   // ---------------------------------------------------------------- batched
@@ -448,7 +383,6 @@ class wf_queue : public mem_tracked {
       if constexpr (track_residency) node->enq_ts = residency_type::now();
       announce_enq(tid, phase, node, g);
     }
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/true);
   }
 
   /// Pop up to `max` items (appended to `out`) under one guard and one
@@ -468,72 +402,12 @@ class wf_queue : public mem_tracked {
       out.push_back(std::move(*v));
       ++got;
     }
-    if constexpr (Options::scrub_on_exit) scrub(tid, g, /*enq=*/false);
     return got;
-  }
-
-  // --------------------------------------------------------------- patience
-  // Runtime knob over the fast path's MAX_FAILURES, for contention-adaptive
-  // tuning (scale/tuner.hpp). Safe to call concurrently with operations:
-  // relaxed atomic, each op reads it once and clamps to the compile-time
-  // ceiling, so the wait-free step bound is unconditionally
-  // O(patience_ceiling + announce-and-help). Absent without a fast path.
-
-  /// Set fast-path patience; clamped to [0, patience_ceiling]. 0 means
-  /// every operation announces immediately (pure slow path).
-  void set_patience(std::uint32_t tries) noexcept
-    requires has_fast_path
-  {
-    // kpq-order: relaxed pairs-with none (tuning knob; readers re-clamp to
-    // the compile-time ceiling, so any value they observe is safe)
-    fast_.patience.value.store(
-        tries > patience_ceiling ? patience_ceiling : tries,
-        std::memory_order_relaxed);
-  }
-  std::uint32_t patience() const noexcept
-    requires has_fast_path
-  {
-    // kpq-order: relaxed pairs-with none (tuning knob read; may lag)
-    return fast_.patience.value.load(std::memory_order_relaxed);
-  }
-
-  /// Per-thread fast/slow split (owner-writes; sum is exact at quiescence,
-  /// a momentary estimate during a run — same contract as every counter
-  /// surface in this repo).
-  fps_path_stats path_counters(std::uint32_t tid) const noexcept
-    requires has_fast_path
-  {
-    fps_path_stats s;
-    const auto& c = fast_.path_stats[tid];
-    // kpq-order: relaxed pairs-with none (owner-written statistics; exact
-    // at quiescence, momentary estimate during a run — documented contract)
-    s.fast_enqs = c->fast_enqs.load(std::memory_order_relaxed);
-    // kpq-order: relaxed pairs-with none (statistics, see above)
-    s.slow_enqs = c->slow_enqs.load(std::memory_order_relaxed);
-    // kpq-order: relaxed pairs-with none (statistics, see above)
-    s.fast_deqs = c->fast_deqs.load(std::memory_order_relaxed);
-    // kpq-order: relaxed pairs-with none (statistics, see above)
-    s.slow_deqs = c->slow_deqs.load(std::memory_order_relaxed);
-    return s;
-  }
-  fps_path_stats aggregate_path_counters() const noexcept
-    requires has_fast_path
-  {
-    fps_path_stats total;
-    for (std::uint32_t t = 0; t < n_; ++t) total += path_counters(t);
-    return total;
   }
 
   // ----------------------------------------------------------- observability
 
   std::uint32_t max_threads() const noexcept { return n_; }
-
-  /// The helping-policy instance, exposed so runtime-adaptive policies
-  /// (help_chunk_rt) can be tuned in place: a controller calls
-  /// `q.help_policy().set_chunk(k)` between sampling ticks. For the static
-  /// policies this is a harmless read-only handle.
-  HelpPolicy& help_policy() noexcept { return help_; }
-  const HelpPolicy& help_policy() const noexcept { return help_; }
 
   /// True if the queue looked empty at some point during the call.
   bool empty_hint(std::uint32_t tid) {
@@ -741,12 +615,11 @@ class wf_queue : public mem_tracked {
     }
   }
 
-  /// Up to patience plain MS link attempts of `node` (enq_tid == no_tid).
+  /// Up to max_tries plain MS link attempts of `node` (enq_tid == no_tid).
   /// True once linked; the link CAS is the linearization for both paths.
   template <typename Guard>
   bool fast_enqueue(std::uint32_t tid, node_type* node, Guard& g) {
-    const std::uint32_t tries = patience_now();
-    for (std::uint32_t attempt = 0; attempt < tries; ++attempt) {
+    for (std::uint32_t attempt = 0; attempt < Options::max_tries; ++attempt) {
       on_fast_attempt(tid, /*is_enq=*/true);
       node_type* last = g.protect(s_last, tail_);
       node_type* next = last->next.load(std::memory_order_seq_cst);
@@ -755,7 +628,7 @@ class wf_queue : public mem_tracked {
         node_type* expected = nullptr;
         if (last->next.compare_exchange_strong(expected, node,
                                                std::memory_order_seq_cst)) {
-          count_path(tid, /*slow=*/false, /*is_enq=*/true);
+          count_fast(tid, /*is_enq=*/true);
           help_finish_enq(tid, g);
           return true;
         }
@@ -766,14 +639,13 @@ class wf_queue : public mem_tracked {
     return false;
   }
 
-  /// Up to patience MS dequeue attempts. The claim is the sentinel's
+  /// Up to max_tries MS dequeue attempts. The claim is the sentinel's
   /// deqTid, written with a fast marker, so fast and slow dequeues
   /// serialize through the same write-once field. True once the operation
   /// completed, with its outcome in `out`.
   template <typename Guard>
   bool fast_dequeue(std::uint32_t tid, Guard& g, std::optional<T>& out) {
-    const std::uint32_t tries = patience_now();
-    for (std::uint32_t attempt = 0; attempt < tries; ++attempt) {
+    for (std::uint32_t attempt = 0; attempt < Options::max_tries; ++attempt) {
       on_fast_attempt(tid, /*is_enq=*/false);
       node_type* first = g.protect(s_first, head_);
       node_type* last = tail_.load(std::memory_order_seq_cst);
@@ -781,7 +653,8 @@ class wf_queue : public mem_tracked {
       if (first != head_.load(std::memory_order_seq_cst)) continue;
       if (first == last) {
         if (next == nullptr) {
-          count_path(tid, /*slow=*/false, /*is_enq=*/false);
+          count_fast(tid, /*is_enq=*/false);
+          if constexpr (Options::collect_stats) ++stats_[tid]->empty_deqs;
           return true;  // empty, like MS
         }
         help_finish_enq(tid, g);  // dangling enqueue first
@@ -794,7 +667,7 @@ class wf_queue : public mem_tracked {
       if (first->deq_tid.compare_exchange_strong(
               expected, fast_claim_base + static_cast<std::int32_t>(tid),
               std::memory_order_seq_cst)) {
-        count_path(tid, /*slow=*/false, /*is_enq=*/false);
+        count_fast(tid, /*is_enq=*/false);
         help_finish_deq(tid, g);  // swing head; winner retires the sentinel
         record_residency(tid, stamp);
         out = std::move(value);
@@ -806,33 +679,23 @@ class wf_queue : public mem_tracked {
     return false;
   }
 
-  /// The per-operation fast-path budget: knob read once, clamped to the
-  /// compile-time ceiling (the clamp is what keeps the step bound a
-  /// constant even while a tuner stores arbitrary values concurrently).
-  std::uint32_t patience_now() const noexcept {
-    const std::atomic<std::uint32_t>& knob = fast_.patience.value;
-    // kpq-order: relaxed pairs-with none (tuning knob; the clamp below makes
-    // any observed value safe — the step bound stays compile-time constant)
-    const std::uint32_t p = knob.load(std::memory_order_relaxed);
-    return p < patience_ceiling ? p : patience_ceiling;
-  }
-
   static void on_fast_attempt(std::uint32_t tid, bool is_enq) {
     if constexpr (requires { Options::hooks::on_fast_attempt(tid, is_enq); }) {
       Options::hooks::on_fast_attempt(tid, is_enq);
     }
   }
 
-  /// Owner-thread, non-RMW path accounting (load + relaxed store).
-  void count_path(std::uint32_t tid, bool slow, bool is_enq) noexcept {
-    auto& c = fast_.path_stats[tid].value;
-    std::atomic<std::uint64_t>& cell = is_enq
-                                           ? (slow ? c.slow_enqs : c.fast_enqs)
-                                           : (slow ? c.slow_deqs : c.fast_deqs);
-    // kpq-order: relaxed pairs-with none (owner-thread statistics cell; the
-    // non-RMW load+store is safe because only `tid` ever writes this cell)
-    cell.store(cell.load(std::memory_order_relaxed) + 1,
-               std::memory_order_relaxed);
+  /// An operation completed on the fast path (the slow path counts its
+  /// own in announce_enq/announce_deq).
+  void count_fast(std::uint32_t tid, bool is_enq) noexcept {
+    if constexpr (Options::collect_stats) {
+      wf_counters& c = stats_[tid].get();
+      ++(is_enq ? c.enq_ops : c.deq_ops);
+      ++(is_enq ? c.fast_enqs : c.fast_deqs);
+    } else {
+      (void)tid;
+      (void)is_enq;
+    }
   }
 
   // ------------------------------------------------------------- allocation
@@ -1082,14 +945,6 @@ class wf_queue : public mem_tracked {
     }
   }
 
-  /// §3.3 enhancement 2: leave a dummy descriptor behind on operation exit.
-  template <typename Guard>
-  void scrub(std::uint32_t tid, Guard& g, bool enq) {
-    desc_type* d = g.protect(s_desc, state_[tid].get());
-    publish(tid, pool_.make(tid, d->phase, false, enq, nullptr));
-    g.clear(s_desc);
-  }
-
   // ------------------------------------------------------------------- data
 
   const std::uint32_t n_;
@@ -1107,19 +962,10 @@ class wf_queue : public mem_tracked {
   std::vector<padded<wf_counters>> stats_;  // empty unless collect_stats
   obs::residency_probe resi_;  // empty unless track_residency
 
-  /// Fast-path state; an empty member without a fast path.
-  struct path_cells {
-    std::atomic<std::uint64_t> fast_enqs{0};
-    std::atomic<std::uint64_t> slow_enqs{0};
-    std::atomic<std::uint64_t> fast_deqs{0};
-    std::atomic<std::uint64_t> slow_deqs{0};
-  };
+  /// help_someone's per-thread cursor; an empty member without a fast path.
   struct fast_path_state {
-    explicit fast_path_state(std::uint32_t n) : cursor(n), path_stats(n) {}
-    std::vector<padded<std::uint32_t>> cursor;  // help_someone's cursor
-    /// Runtime patience knob (set_patience), starting at Options::max_tries.
-    padded<std::atomic<std::uint32_t>> patience{max_tries_of<Options>};
-    std::vector<padded<path_cells>> path_stats;  // owner-written
+    explicit fast_path_state(std::uint32_t n) : cursor(n) {}
+    std::vector<padded<std::uint32_t>> cursor;
   };
   struct no_fast_path_state {
     explicit no_fast_path_state(std::uint32_t /*n*/) {}
@@ -1154,7 +1000,7 @@ using wf_queue_opt_residency =
 /// suggestion): opt WF's policies under fps_options' patience.
 template <typename T, typename R = hp_domain, typename Options = fps_options,
           typename Storage = heap_node_storage<
-              T, wf_node<T, obs::residency_policy_t<Options>::enabled>>>
+              T, wf_node<T, Options::residency::enabled>>>
 using wf_queue_fps =
     wf_queue<T, help_one, fetch_add_phase, R, Options, Storage>;
 

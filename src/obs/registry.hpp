@@ -52,6 +52,8 @@ concept wf_counter_like = requires(const C& c) {
   { c.helped_deq_completions } -> std::convertible_to<std::uint64_t>;
   { c.link_cas_failures } -> std::convertible_to<std::uint64_t>;
   { c.desc_cas_failures } -> std::convertible_to<std::uint64_t>;
+  { c.fast_enqs } -> std::convertible_to<std::uint64_t>;
+  { c.fast_deqs } -> std::convertible_to<std::uint64_t>;
 };
 
 template <wf_counter_like C>
@@ -69,6 +71,8 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
                static_cast<double>(c.link_cas_failures));
   append_value(out, prefix + ".desc_cas_failures",
                static_cast<double>(c.desc_cas_failures));
+  append_value(out, prefix + ".fast_enqs", static_cast<double>(c.fast_enqs));
+  append_value(out, prefix + ".fast_deqs", static_cast<double>(c.fast_deqs));
   const double ops = static_cast<double>(c.enq_ops + c.deq_ops);
   const double helped = static_cast<double>(c.helped_enq_completions +
                                             c.helped_deq_completions);
@@ -225,10 +229,7 @@ concept tuner_stats_like = requires(const T& t) {
   { t.grows } -> std::convertible_to<std::uint64_t>;
   { t.shrinks } -> std::convertible_to<std::uint64_t>;
   { t.reorders } -> std::convertible_to<std::uint64_t>;
-  { t.patience_raises } -> std::convertible_to<std::uint64_t>;
-  { t.patience_drops } -> std::convertible_to<std::uint64_t>;
   { t.active_shards } -> std::convertible_to<std::uint32_t>;
-  { t.patience } -> std::convertible_to<std::uint32_t>;
   { t.scan_epoch } -> std::convertible_to<std::uint64_t>;
 };
 
@@ -239,37 +240,10 @@ void append_metrics(metrics_snapshot& out, const std::string& prefix,
   append_value(out, prefix + ".grows", static_cast<double>(t.grows));
   append_value(out, prefix + ".shrinks", static_cast<double>(t.shrinks));
   append_value(out, prefix + ".reorders", static_cast<double>(t.reorders));
-  append_value(out, prefix + ".patience_raises",
-               static_cast<double>(t.patience_raises));
-  append_value(out, prefix + ".patience_drops",
-               static_cast<double>(t.patience_drops));
   append_value(out, prefix + ".active_shards",
                static_cast<double>(t.active_shards));
-  append_value(out, prefix + ".patience", static_cast<double>(t.patience));
   append_value(out, prefix + ".scan_epoch",
                static_cast<double>(t.scan_epoch));
-}
-
-/// Fast/slow path split of a wf_queue with a fast path (fps_path_stats,
-/// core/wf_queue.hpp) — the tuner's
-/// contention signal, exported so patience decisions can be audited.
-template <typename F>
-concept fps_path_like = requires(const F& f) {
-  { f.fast_enqs } -> std::convertible_to<std::uint64_t>;
-  { f.slow_enqs } -> std::convertible_to<std::uint64_t>;
-  { f.fast_deqs } -> std::convertible_to<std::uint64_t>;
-  { f.slow_deqs } -> std::convertible_to<std::uint64_t>;
-  { f.slow_rate() } -> std::convertible_to<double>;
-};
-
-template <fps_path_like F>
-void append_metrics(metrics_snapshot& out, const std::string& prefix,
-                    const F& f) {
-  append_value(out, prefix + ".fast_enqs", static_cast<double>(f.fast_enqs));
-  append_value(out, prefix + ".slow_enqs", static_cast<double>(f.slow_enqs));
-  append_value(out, prefix + ".fast_deqs", static_cast<double>(f.fast_deqs));
-  append_value(out, prefix + ".slow_deqs", static_cast<double>(f.slow_deqs));
-  append_value(out, prefix + ".slow_rate", f.slow_rate());
 }
 
 /// Event-loop health (async/event_loop.hpp loop_stats): throughput counters

@@ -13,8 +13,8 @@
 // the node is still hazard-protected, exactly like `value`).
 //
 // Threading: a compile-time policy on the queue Options (`using residency =
-// obs::tick_residency;`), detected structurally like the trace policy. When
-// absent/disabled the stamp field does not exist (op_desc.hpp keeps the
+// obs::tick_residency;`), read like the trace policy; wf_options defaults
+// it to no_residency. When disabled the stamp field does not exist (op_desc.hpp keeps the
 // paper's 24-byte node, pinned by shape_regression_test) and every hook site
 // folds away under `if constexpr` — zero cost, verified by fig_residency
 // against the fig7 baseline. When enabled, recording is one tick_now() per
@@ -48,24 +48,6 @@ struct tick_residency {
   static constexpr bool enabled = true;
   static std::uint64_t now() noexcept { return tick_now(); }
 };
-
-/// Structural detection, mirroring how the queues pick up Options::trace:
-/// options structs that predate (or don't care about) residency simply lack
-/// the member and get no_residency.
-template <typename O>
-concept options_with_residency = requires { typename O::residency; };
-
-template <typename O>
-struct residency_of {
-  using type = no_residency;
-};
-template <options_with_residency O>
-struct residency_of<O> {
-  using type = typename O::residency;
-};
-
-template <typename O>
-using residency_policy_t = typename residency_of<O>::type;
 
 // -------------------------------------------------------------------- probe
 

@@ -12,11 +12,11 @@
 // Scrape safety contract (tested under TSan in obs_telemetry_test): the
 // pump calls registry collectors from ITS thread while workers mutate the
 // underlying counters. That is only race-free for counter surfaces that are
-// atomic (shard_counters, fps path_counters, waiter_hub stats, bounded
-// admission counters, log2_histogram/residency probes, loop_stats snapshots
-// taken under the loop's own lock). Plain-field owner-written counters
-// (wf_counters with collect_stats) keep their read-at-quiescence contract —
-// do not register those with a live pump.
+// atomic (shard_counters, waiter_hub stats, bounded admission counters,
+// log2_histogram/residency probes, loop_stats snapshots taken under the
+// loop's own lock). Plain-field owner-written counters (wf_counters with
+// collect_stats, including the fast/slow path split) keep their
+// read-at-quiescence contract — do not register those with a live pump.
 //
 // Concurrency: the pump is OBSERVABILITY code, not queue code — kpq-lint's
 // wait-free purity rule (R2) does not apply outside core/scale/storage, and

@@ -1,13 +1,9 @@
 // shard_tuner — the policy half of self-tuning elastic sharding.
 //
 // adaptive.hpp supplies the safe mechanism (epoch-stamped scan tables over a
-// fixed shard pool, a clamped runtime patience knob on wf_queue's fast
-// path, e.g. wf_queue_fps); this
-// header supplies the controller that decides WHEN to use it. It closes the
-// feedback loop left open by ROADMAP item 2: the obs counters (per-shard
-// depth, steal/empty-scan rates, fast/slow path split, helping latency and
-// phase lag from the trace) feed a low-frequency tick that emits at most a
-// handful of single-pointer publishes.
+// fixed shard pool); this header supplies the controller that decides WHEN
+// to use it: the per-shard counters (depth, dequeue and empty-scan rates)
+// feed a low-frequency tick that emits at most one single-pointer publish.
 //
 // Control loop, one tick:
 //
@@ -24,17 +20,11 @@
 //        reorder : depth spread across the pool >= reorder_min_spread —
 //                  republish the scan order deepest-first so stealers hit
 //                  backlog before empty lanes.
-//        patience: slow-path share of FPS shards >= raise threshold (or
-//                  trace phase lag blew past phase_lag_raise) — raise the
-//                  fast-path budget toward the compile-time ceiling;
-//                  share <= lower threshold — decay it back down. The
-//                  loop is self-stabilizing: more patience => fewer slow
-//                  entries => the raise signal clears.
 //   3. ACT     — grow/shrink/reorder are each one publish_table() (a
-//                store-release of a fresh immutable table); patience is a
-//                relaxed store per shard. Nothing here ever blocks an
-//                operation or changes any step bound: every knob is
-//                clamped inside a compile-time box (docs/ALGORITHM.md §9).
+//                store-release of a fresh immutable table). Nothing here
+//                ever blocks an operation or changes any step bound: the
+//                shard queues' patience and helping widths are compile-time
+//                constants (docs/ALGORITHM.md §9).
 //
 // Threading contract: single mutator. Call tick() from ONE control thread
 // (or inline at deterministic points — every test does this; the
@@ -44,7 +34,6 @@
 #pragma once
 
 #include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <vector>
 
@@ -61,8 +50,6 @@ enum class tuner_action : std::uint32_t {
   grow = 1,
   shrink = 2,
   reorder = 3,
-  patience_raise = 4,
-  patience_drop = 5,
 };
 
 inline constexpr const char* tuner_action_name(tuner_action a) noexcept {
@@ -71,8 +58,6 @@ inline constexpr const char* tuner_action_name(tuner_action a) noexcept {
     case tuner_action::grow: return "grow";
     case tuner_action::shrink: return "shrink";
     case tuner_action::reorder: return "reorder";
-    case tuner_action::patience_raise: return "patience_raise";
-    case tuner_action::patience_drop: return "patience_drop";
   }
   return "unknown";
 }
@@ -94,16 +79,6 @@ struct tuner_config {
   /// republishing the scan order (small spreads are noise).
   std::int64_t reorder_min_spread = 64;
 
-  // FPS patience (only used when the inner queue exposes set_patience).
-  double patience_raise_slow_rate = 0.20;
-  double patience_lower_slow_rate = 0.02;
-  std::uint32_t patience_step = 8;
-  std::uint32_t min_patience = 2;
-  /// Trace-derived escalation: phase-lag p99 above this also argues for
-  /// more fast-path patience (ops are queueing up behind the phase
-  /// frontier). Fed via tick(signals); ignored when signals are absent.
-  double phase_lag_raise = 64.0;
-
   /// Consecutive ticks a signal must persist before the tuner acts; any
   /// action resets all pressure (one adaptation at a time, no thrash).
   std::uint32_t hysteresis_ticks = 2;
@@ -124,18 +99,8 @@ struct tuner_stats {
   std::uint64_t grows = 0;
   std::uint64_t shrinks = 0;
   std::uint64_t reorders = 0;
-  std::uint64_t patience_raises = 0;
-  std::uint64_t patience_drops = 0;
   std::uint32_t active_shards = 0;
-  std::uint32_t patience = 0;
   std::uint64_t scan_epoch = 0;
-};
-
-/// Trace-derived escalation inputs (obs/wf_metrics.hpp quantiles), for
-/// deployments that drain the trace anyway. Entirely optional.
-struct tuner_signals {
-  double help_latency_p99 = 0.0;  ///< ticks (tick_now units)
-  double phase_lag_p99 = 0.0;     ///< phases
 };
 
 template <typename SQ>
@@ -152,7 +117,6 @@ class shard_tuner {
       prev_[s] = q_.shard_counters_snapshot(s);
     }
     stats_.active_shards = q_.active_shards();
-    stats_.patience = current_patience();
     stats_.scan_epoch = q_.scan_epoch();
   }
 
@@ -163,10 +127,8 @@ class shard_tuner {
   const tuner_stats& stats() const noexcept { return stats_; }
 
   /// One control-loop iteration; returns the action taken (at most one
-  /// table publish per tick, plus at most one patience nudge).
-  tuner_action tick() { return tick(tuner_signals{}); }
-
-  tuner_action tick(const tuner_signals& sig) {
+  /// table publish per tick).
+  tuner_action tick() {
     ++stats_.ticks;
 
     // -------- sample: per-shard depth (cumulative) + this tick's deltas.
@@ -182,7 +144,6 @@ class shard_tuner {
       d_ops += (now[s].enqueued - prev_[s].enqueued) +
                (now[s].dequeued - prev_[s].dequeued);
     }
-    const fps_delta fps = sample_fps_delta();
     prev_ = std::move(now);
 
     refresh_gauges();
@@ -206,7 +167,7 @@ class shard_tuner {
     const auto [dmin, dmax] = std::minmax_element(depth.begin(), depth.end());
     const std::int64_t spread = *dmax - *dmin;
 
-    // -------- decide with hysteresis; at most one structural action.
+    // -------- decide with hysteresis; at most one action.
     const bool wants_grow =
         active < cfg_.max_active && mean_active_depth >= cfg_.grow_depth;
     const bool wants_shrink = active > cfg_.min_active &&
@@ -219,115 +180,29 @@ class shard_tuner {
     shrink_pressure_ = wants_shrink ? shrink_pressure_ + 1 : 0;
     reorder_pressure_ = wants_reorder ? reorder_pressure_ + 1 : 0;
 
-    tuner_action structural = tuner_action::none;
+    tuner_action action = tuner_action::none;
     if (grow_pressure_ >= cfg_.hysteresis_ticks) {
-      structural = tuner_action::grow;
+      action = tuner_action::grow;
       publish_resized(depth, active + 1);
       ++stats_.grows;
     } else if (shrink_pressure_ >= cfg_.hysteresis_ticks) {
-      structural = tuner_action::shrink;
+      action = tuner_action::shrink;
       publish_resized(depth, active - 1);
       ++stats_.shrinks;
     } else if (reorder_pressure_ >= cfg_.hysteresis_ticks) {
-      structural = tuner_action::reorder;
+      action = tuner_action::reorder;
       publish_resized(depth, active);
       ++stats_.reorders;
     }
-    if (structural != tuner_action::none) {
+    if (action != tuner_action::none) {
       clear_pressure();
       refresh_gauges();
-      trace_decision(structural);
-      return structural;
+      trace_decision(action);
     }
-
-    // -------- patience (independent of the structural decision; only when
-    // the inner queue has the knob and this tick saw real FPS traffic).
-    if constexpr (has_patience) {
-      if (fps.ops >= cfg_.min_ops_per_tick) {
-        const bool wants_raise = fps.slow_rate >= cfg_.patience_raise_slow_rate ||
-                                 sig.phase_lag_p99 >= cfg_.phase_lag_raise;
-        const bool wants_drop = !wants_raise &&
-                                fps.slow_rate <= cfg_.patience_lower_slow_rate &&
-                                current_patience() > cfg_.min_patience;
-        raise_pressure_ = wants_raise ? raise_pressure_ + 1 : 0;
-        drop_pressure_ = wants_drop ? drop_pressure_ + 1 : 0;
-        if (raise_pressure_ >= cfg_.hysteresis_ticks) {
-          set_patience_all(current_patience() + cfg_.patience_step);
-          ++stats_.patience_raises;
-          clear_pressure();
-          refresh_gauges();
-          trace_decision(tuner_action::patience_raise);
-          return tuner_action::patience_raise;
-        }
-        if (drop_pressure_ >= cfg_.hysteresis_ticks) {
-          const std::uint32_t cur = current_patience();
-          set_patience_all(cur - cfg_.patience_step < cfg_.min_patience ||
-                                   cur < cfg_.patience_step
-                               ? cfg_.min_patience
-                               : cur - cfg_.patience_step);
-          ++stats_.patience_drops;
-          clear_pressure();
-          refresh_gauges();
-          trace_decision(tuner_action::patience_drop);
-          return tuner_action::patience_drop;
-        }
-      }
-    }
-    return tuner_action::none;
+    return action;
   }
 
  private:
-  static constexpr bool has_patience = requires(SQ& q) {
-    q.shard(0u).set_patience(1u);
-    { q.shard(0u).patience() } -> std::convertible_to<std::uint32_t>;
-    q.shard(0u).aggregate_path_counters();
-  };
-
-  struct fps_delta {
-    std::uint64_t ops = 0;
-    double slow_rate = 0.0;
-  };
-
-  fps_delta sample_fps_delta() {
-    fps_delta d;
-    if constexpr (has_patience) {
-      std::uint64_t fast = 0, slow = 0;
-      for (std::uint32_t s = 0; s < q_.shard_capacity(); ++s) {
-        const auto ps = q_.shard(s).aggregate_path_counters();
-        fast += ps.fast_enqs + ps.fast_deqs;
-        slow += ps.slow_enqs + ps.slow_deqs;
-      }
-      const std::uint64_t d_fast = fast - prev_fast_;
-      const std::uint64_t d_slow = slow - prev_slow_;
-      prev_fast_ = fast;
-      prev_slow_ = slow;
-      d.ops = d_fast + d_slow;
-      d.slow_rate = d.ops == 0 ? 0.0
-                               : static_cast<double>(d_slow) /
-                                     static_cast<double>(d.ops);
-    }
-    return d;
-  }
-
-  std::uint32_t current_patience() const noexcept {
-    if constexpr (has_patience) {
-      return q_.shard(0u).patience();
-    } else {
-      return 0;
-    }
-  }
-
-  void set_patience_all(std::uint32_t p) noexcept {
-    if constexpr (has_patience) {
-      // Each shard clamps against its own compile-time ceiling.
-      for (std::uint32_t s = 0; s < q_.shard_capacity(); ++s) {
-        q_.shard(s).set_patience(p);
-      }
-    } else {
-      (void)p;
-    }
-  }
-
   /// Is the current table already deepest-first over the whole pool?
   static bool sorted_deepest_first(const std::vector<std::int64_t>& depth,
                                    const scan_table& t) {
@@ -381,12 +256,10 @@ class shard_tuner {
 
   void clear_pressure() noexcept {
     grow_pressure_ = shrink_pressure_ = reorder_pressure_ = 0;
-    raise_pressure_ = drop_pressure_ = 0;
   }
 
   void refresh_gauges() noexcept {
     stats_.active_shards = q_.active_shards();
-    stats_.patience = current_patience();
     stats_.scan_epoch = q_.scan_epoch();
   }
 
@@ -405,13 +278,9 @@ class shard_tuner {
   tuner_config cfg_;
   tuner_stats stats_;
   std::vector<shard_stats> prev_;
-  std::uint64_t prev_fast_ = 0;
-  std::uint64_t prev_slow_ = 0;
   std::uint32_t grow_pressure_ = 0;
   std::uint32_t shrink_pressure_ = 0;
   std::uint32_t reorder_pressure_ = 0;
-  std::uint32_t raise_pressure_ = 0;
-  std::uint32_t drop_pressure_ = 0;
 };
 
 }  // namespace kpq

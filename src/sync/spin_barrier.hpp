@@ -23,9 +23,16 @@ class spin_barrier {
   spin_barrier& operator=(const spin_barrier&) = delete;
 
   /// Blocks until `parties` threads have arrived. Returns true for exactly
-  /// one caller per generation (the last arrival), which benchmarks use to
-  /// start the clock.
+  /// one caller per generation (the last arrival).
   bool arrive_and_wait() noexcept {
+    return arrive_and_wait([] {});
+  }
+
+  /// As above, but the last arrival runs `on_release()` before it releases
+  /// the others, so whatever it records (the harness's start timestamp)
+  /// happens-before every party's return.
+  template <typename F>
+  bool arrive_and_wait(F&& on_release) noexcept {
     // kpq-order: relaxed pairs-with none (sense_ only flips in the release
     // store below, which cannot run concurrently with arrivals of the same
     // generation — the value is stable until the last arrival)
@@ -36,6 +43,7 @@ class spin_barrier {
       // kpq-order: relaxed pairs-with none (ordered before the next
       // generation by the sense_ release/acquire edge below)
       count_.store(0, std::memory_order_relaxed);
+      on_release();
       // kpq-order: release pairs-with the acquire spin below — publishes
       // the count_ reset and everything before the barrier to all waiters
       sense_.store(my_sense, std::memory_order_release);

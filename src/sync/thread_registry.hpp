@@ -30,9 +30,11 @@ class thread_registry {
  public:
   static thread_registry& instance() noexcept;
 
-  /// Id of the calling thread, acquiring one on first use. Terminates the
-  /// process (via assert-like fatal error) if the namespace is exhausted —
-  /// a misconfiguration, not a runtime condition to handle.
+  /// Id of the calling thread, acquiring one on first use. If the namespace
+  /// is exhausted, acquire() prints "kpq::thread_registry: more than N
+  /// concurrent threads" to stderr and calls std::abort — in every build
+  /// type, NDEBUG included: a misconfiguration, not a runtime condition to
+  /// handle.
   static std::uint32_t current_tid() noexcept;
 
   /// Number of slots ever claimed simultaneously is not tracked; this is the

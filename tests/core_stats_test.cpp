@@ -38,6 +38,30 @@ TEST(WfStats, EmptyDequeuesAreCounted) {
   EXPECT_EQ(q.counters(0).deq_ops, 3u);
 }
 
+struct fps_stats_options : fps_options {
+  static constexpr bool collect_stats = true;
+};
+
+TEST(WfStats, FastPathSplitCountsEveryFpsOperation) {
+  // Uncontended FPS operations all complete on the fast path; they count in
+  // enq_ops/deq_ops/empty_deqs like slow ones, and in fast_enqs/fast_deqs.
+  wf_queue_fps<std::uint64_t, hp_domain, fps_stats_options> q(2);
+  for (std::uint64_t i = 0; i < 10; ++i) q.enqueue(i, 0);
+  for (int i = 0; i < 12; ++i) (void)q.dequeue(1);
+  EXPECT_EQ(q.counters(0).enq_ops, 10u);
+  EXPECT_EQ(q.counters(0).fast_enqs, 10u);
+  EXPECT_EQ(q.counters(1).deq_ops, 12u);
+  EXPECT_EQ(q.counters(1).fast_deqs, 12u);
+  EXPECT_EQ(q.counters(1).empty_deqs, 2u);
+
+  // Without a fast path every operation announces: the split stays 0.
+  stats_queue slow(1);
+  slow.enqueue(1, 0);
+  ASSERT_TRUE(slow.dequeue(0).has_value());
+  EXPECT_EQ(slow.counters(0).enq_ops + slow.counters(0).deq_ops, 2u);
+  EXPECT_EQ(slow.counters(0).fast_enqs + slow.counters(0).fast_deqs, 0u);
+}
+
 TEST(WfStats, NoHelpingWhenSingleThreaded) {
   stats_queue q(4);
   for (std::uint64_t i = 0; i < 100; ++i) {

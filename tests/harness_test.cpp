@@ -123,6 +123,27 @@ TEST(Runner, SetupRunsBeforeEachRep) {
   EXPECT_EQ(reps_seen, (std::vector<int>{0, 1, 2}));
 }
 
+TEST(Runner, WindowBracketsEveryWorkersOwnTimestamps) {
+  // Short bodies on several threads: the case where a clock started by the
+  // main thread after the release could begin after a worker had already
+  // finished.
+  run_config cfg;
+  cfg.threads = 4;
+  for (int rep = 0; rep < 50; ++rep) {
+    std::vector<std::uint64_t> began(cfg.threads), ended(cfg.threads);
+    auto body = [&](std::uint32_t t) {
+      began[t] = now_ns();
+      ended[t] = now_ns();
+    };
+    const trial_window w = run_once(cfg, body);
+    for (std::uint32_t t = 0; t < cfg.threads; ++t) {
+      ASSERT_LE(w.start_ns, began[t]) << "rep " << rep << " thread " << t;
+      ASSERT_GE(w.end_ns, ended[t]) << "rep " << rep << " thread " << t;
+    }
+    EXPECT_GE(w.seconds(), 0.0);
+  }
+}
+
 // ------------------------------------------------------------------- timing
 
 TEST(Timing, StopwatchMeasuresForwardTime) {

@@ -31,11 +31,15 @@ TEST(ObsRegistry, WfCountersSource) {
   c.deq_ops = 30;
   c.helped_enq_completions = 3;
   c.helped_deq_completions = 1;
+  c.fast_enqs = 6;
+  c.fast_deqs = 20;
   metrics_snapshot snap;
   append_metrics(snap, "q", c);
   const auto m = as_map(snap);
   EXPECT_EQ(m.at("q.enq_ops"), 10.0);
   EXPECT_EQ(m.at("q.deq_ops"), 30.0);
+  EXPECT_EQ(m.at("q.fast_enqs"), 6.0);
+  EXPECT_EQ(m.at("q.fast_deqs"), 20.0);
   EXPECT_DOUBLE_EQ(m.at("q.helped_per_op"), 0.1);
 }
 

@@ -31,22 +31,25 @@ TEST(ObsResidency, UnstampedNodeKeepsPaperShape) {
   EXPECT_EQ(sizeof(wf_node<std::uint64_t, true>), 32u);  // +8B stamp
 }
 
-TEST(ObsResidency, PolicyDetectionIsStructural) {
-  static_assert(!obs::residency_policy_t<wf_options>::enabled);
-  static_assert(obs::residency_policy_t<wf_options_residency>::enabled);
-  // An Options struct written before the residency policy existed still
-  // resolves (to no_residency) without edits.
-  struct legacy_options : wf_options {};
-  static_assert(!obs::residency_policy_t<legacy_options>::enabled);
+TEST(ObsResidency, PolicyIsReadFromOptions) {
+  static_assert(!wf_options::residency::enabled);
+  static_assert(wf_options_residency::residency::enabled);
+  // An Options struct that does not mention residency inherits
+  // wf_options' no_residency.
+  struct other_options : wf_options {};
+  static_assert(!wf_queue<int, help_one, fetch_add_phase, hp_domain,
+                          other_options>::track_residency);
   static_assert(!wf_queue_opt<int>::track_residency);
   static_assert(wf_queue_opt_residency<int>::track_residency);
 }
 
-// Zero patience: every op takes the slow (descriptor) path, so the stamp
-// must survive the help_finish descriptor hand-off too. (Namespace scope:
-// local classes cannot hold static data members.)
+// Zero patience compiles the fast path out: every op takes the slow
+// (descriptor) path, so the stamp must survive the help_finish descriptor
+// hand-off too. (Namespace scope: local classes cannot hold static data
+// members.)
 struct zero_patience : fps_options_residency {
   static constexpr std::uint32_t max_tries = 0;
+  static constexpr bool collect_stats = true;
 };
 
 // ------------------------------------------------------- single-threaded
@@ -97,12 +100,14 @@ TEST(ObsResidency, FpsFastAndSlowPathsBothRecord) {
   EXPECT_EQ(q.residency_samples(), kOps);
 
   wf_queue_fps<std::uint64_t, hp_domain, zero_patience> slow(2);
+  static_assert(!decltype(slow)::has_fast_path);
   for (std::uint64_t i = 0; i < kOps; ++i) slow.enqueue(i, 0);
   for (std::uint64_t i = 0; i < kOps; ++i) {
     ASSERT_TRUE(slow.dequeue(0).has_value());
   }
   EXPECT_EQ(slow.residency_samples(), kOps);
-  EXPECT_EQ(slow.aggregate_path_counters().slow_deqs, kOps);
+  EXPECT_EQ(slow.aggregate_counters().deq_ops, kOps);
+  EXPECT_EQ(slow.aggregate_counters().fast_deqs, 0u);
 }
 
 // ------------------------------------------------------------- concurrent

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -105,10 +106,19 @@ TEST_F(HpFixture, ProtectFollowsConcurrentSwaps) {
   // protected object is always dereferenceable with a sane payload.
   hp_domain d(2, 1, /*scan_threshold=*/4);
   std::atomic<tracked*> src{new tracked(0)};
+  std::atomic<std::uint64_t> reads{0};
   std::atomic<bool> stop{false};
 
+  // Every 16 swaps the churner waits for the reader to take another read
+  // (the handoff of LongLivedGuardFollowsConcurrentSwaps), so the reads
+  // interleave with the churn even where the scheduler would otherwise run
+  // one thread's whole loop in a single time slice.
   std::thread churner([&] {
     for (int i = 1; i < 4000; ++i) {
+      if (i % 16 == 1) {
+        const std::uint64_t seen = reads.load();
+        while (reads.load() == seen) std::this_thread::yield();
+      }
       tracked* fresh = new tracked(i);
       tracked* old = src.exchange(fresh);
       d.retire(1, old, &delete_tracked, nullptr);
@@ -116,20 +126,21 @@ TEST_F(HpFixture, ProtectFollowsConcurrentSwaps) {
     stop.store(true);
   });
 
-  std::uint64_t reads = 0;
-  // Single-core schedulers may run the churner to completion first; insist
-  // on a minimum number of protected reads either way.
-  while (reads < 500 || !stop.load()) {
+  std::set<int> payloads;
+  // Insist on a minimum number of protected reads either way.
+  while (reads.load() < 500 || !stop.load()) {
     auto g = d.enter(0);
     tracked* p = g.protect(0, src);
     // Dereference: ASan/valgrind would flag use-after-free instantly; the
     // payload bound checks heap sanity without them.
     ASSERT_GE(p->payload, 0);
     ASSERT_LT(p->payload, 4000);
-    ++reads;
+    payloads.insert(p->payload);
+    reads.fetch_add(1);
   }
   churner.join();
-  EXPECT_GT(reads, 0u);
+  EXPECT_GT(reads.load(), 0u);
+  EXPECT_GT(payloads.size(), 1u) << "the reads did not interleave the churn";
   delete src.exchange(nullptr);
 }
 

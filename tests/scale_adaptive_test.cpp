@@ -20,17 +20,12 @@
 //
 //   3. POLICY — shard_tuner decision unit tests with a deterministic
 //      inline tick: grow on depth, shrink on drain+starvation, reorder
-//      deepest-first, patience raise on slow-path share (and on trace
-//      phase lag), patience decay when calm — each with hysteresis
-//      observed.
+//      deepest-first — each with hysteresis observed.
 //
-//   4. BOUNDS + STRESS — the runtime patience knob can never exceed the
-//      compile-time ceiling (counted fast-path attempts per operation,
-//      under a stalled-thread schedule à la core_progress_test /
-//      bench/stall_injection), and a real-thread elastic stress run in
-//      which the single tuner thread reshards continuously while workers
-//      hammer the queue — the TSan target of the tsan-scale-adaptive CI
-//      job (KPQ_TRACE=ON exercises the tracing hook sites too).
+//   4. STRESS — a real-thread elastic run in which the single tuner thread
+//      reshards continuously while workers hammer the queue — the TSan
+//      target of the tsan-scale-adaptive CI job (KPQ_TRACE=ON exercises
+//      the tracing hook sites too).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -332,9 +327,6 @@ tuner_config quiet_config() {
   cfg.grow_depth = 1 << 30;
   cfg.shrink_depth = -1;
   cfg.reorder_min_spread = 1 << 30;
-  cfg.patience_raise_slow_rate = 1.1;   // unreachable
-  cfg.patience_lower_slow_rate = -1.0;  // unreachable
-  cfg.phase_lag_raise = 1e18;
   return cfg;
 }
 
@@ -400,72 +392,6 @@ TEST(ShardTuner, ReordersScanDeepestFirst) {
   EXPECT_EQ(tuner.stats().reorders, 1u);
 }
 
-TEST(ShardTuner, RaisesPatienceUnderSlowPathPressure) {
-  elastic_q q(1, 1);  // single shard: no structural rule can fire
-  tuner_config cfg = quiet_config();
-  cfg.patience_raise_slow_rate = 0.20;
-  shard_tuner<elastic_q> tuner(q, cfg);
-
-  q.shard(0).set_patience(0);  // force every op onto the slow path
-  for (int round = 0; round < 2; ++round) {
-    for (std::uint64_t i = 0; i < 25; ++i) {
-      q.enqueue(i, 0);
-      (void)q.dequeue(0);
-    }
-    if (round == 0) {
-      EXPECT_EQ(tuner.tick(), tuner_action::none) << "hysteresis tick 1";
-    }
-  }
-  EXPECT_EQ(tuner.tick(), tuner_action::patience_raise);
-  EXPECT_EQ(q.shard(0).patience(), cfg.patience_step);
-  EXPECT_EQ(tuner.stats().patience_raises, 1u);
-  EXPECT_EQ(tuner.stats().patience, cfg.patience_step);
-}
-
-TEST(ShardTuner, DropsPatienceWhenCalm) {
-  elastic_q q(1, 1);
-  tuner_config cfg = quiet_config();
-  cfg.patience_lower_slow_rate = 0.02;
-  cfg.min_patience = 2;
-  shard_tuner<elastic_q> tuner(q, cfg);
-
-  ASSERT_EQ(q.shard(0).patience(), fps_options::max_tries);
-  for (int round = 0; round < 2; ++round) {
-    for (std::uint64_t i = 0; i < 25; ++i) {
-      q.enqueue(i, 0);  // uncontended: pure fast path, slow rate 0
-      (void)q.dequeue(0);
-    }
-    if (round == 0) {
-      EXPECT_EQ(tuner.tick(), tuner_action::none) << "hysteresis tick 1";
-    }
-  }
-  EXPECT_EQ(tuner.tick(), tuner_action::patience_drop);
-  EXPECT_EQ(q.shard(0).patience(), cfg.min_patience);
-  EXPECT_EQ(tuner.stats().patience_drops, 1u);
-}
-
-TEST(ShardTuner, TracePhaseLagAlsoRaisesPatience) {
-  elastic_q q(1, 1);
-  tuner_config cfg = quiet_config();
-  cfg.phase_lag_raise = 64.0;
-  shard_tuner<elastic_q> tuner(q, cfg);
-
-  tuner_signals sig;
-  sig.phase_lag_p99 = 512.0;  // the doorway is backing up
-  for (int round = 0; round < 2; ++round) {
-    for (std::uint64_t i = 0; i < 25; ++i) {
-      q.enqueue(i, 0);
-      (void)q.dequeue(0);
-    }
-    if (round == 0) {
-      EXPECT_EQ(tuner.tick(sig), tuner_action::none) << "hysteresis tick 1";
-    }
-  }
-  EXPECT_EQ(tuner.tick(sig), tuner_action::patience_raise);
-  EXPECT_EQ(q.shard(0).patience(),
-            fps_options::max_tries + cfg.patience_step);
-}
-
 TEST(ShardTuner, IdleTicksResetPressureAndDecideNothing) {
   elastic_q q(4, 1);
   q.set_active_shards(2);
@@ -483,153 +409,12 @@ TEST(ShardTuner, IdleTicksResetPressureAndDecideNothing) {
   EXPECT_EQ(tuner.stats().ticks, 3u);
 }
 
-// The helping-chunk twin of the patience knob: runtime-adjustable width,
-// clamped against the compile-time ceiling on every read, reachable on a
-// live queue through help_policy(). Same invariant (I4): the knob moves
-// within the box, never the box.
-TEST(HelpChunkRt, KnobClampsAndQueueStaysCorrect) {
-  using chunk_q = wf_queue<std::uint64_t, help_chunk_rt<4>, fetch_add_phase>;
-  chunk_q q(2);
-  EXPECT_EQ(q.help_policy().chunk(), 1u);
-  q.help_policy().set_chunk(0);  // below the floor
-  EXPECT_EQ(q.help_policy().chunk(), 1u);
-  q.help_policy().set_chunk(100);  // above the ceiling
-  EXPECT_EQ(q.help_policy().chunk(), chunk_q::help_policy_type::chunk_ceiling);
-  // Operations complete and stay FIFO at both extremes of the knob.
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    q.help_policy().set_chunk(i % 2 == 0 ? 1 : 100);
-    q.enqueue(i, 0);
-  }
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const auto v = q.dequeue(1);
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.dequeue(0).has_value());
-}
-
-// ============================================= 4. bounds + thread stress
-
-// Per-tid fast-path attempt counters + the stall gate, for the step-bound
-// assertion (same freeze-at-announce machinery as core_progress_test and
-// bench/stall_injection).
-std::array<std::atomic<std::uint64_t>, 8> g_fast_attempts;
-std::atomic<std::int64_t> g_frozen_tid{-1};
-std::atomic<bool> g_gate_open{true};
-std::atomic<bool> g_is_frozen{false};
-
-struct bound_hooks {
-  static void after_publish(std::uint32_t tid, bool /*is_enq*/) {
-    if (static_cast<std::int64_t>(tid) !=
-        g_frozen_tid.load(std::memory_order_acquire)) {
-      return;
-    }
-    g_is_frozen.store(true, std::memory_order_release);
-    while (!g_gate_open.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    g_is_frozen.store(false, std::memory_order_release);
-  }
-  static void on_fast_attempt(std::uint32_t tid, bool /*is_enq*/) {
-    g_fast_attempts[tid].fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-struct bound_options : fps_options {
-  using hooks = bound_hooks;
-};
-using bound_queue = wf_queue_fps<std::uint64_t, hp_domain, bound_options>;
-
-class AdaptivePatienceBound : public ::testing::Test {
- protected:
-  void SetUp() override {
-    for (auto& a : g_fast_attempts) a.store(0, std::memory_order_relaxed);
-    g_frozen_tid.store(-1, std::memory_order_release);
-    g_gate_open.store(true, std::memory_order_release);
-    g_is_frozen.store(false, std::memory_order_release);
-  }
-  void TearDown() override {
-    g_gate_open.store(true, std::memory_order_release);
-    g_frozen_tid.store(-1, std::memory_order_release);
-  }
-  static std::uint64_t attempts(std::uint32_t tid) {
-    return g_fast_attempts[tid].load(std::memory_order_relaxed);
-  }
-};
-
-TEST_F(AdaptivePatienceBound, KnobClampsToCompileTimeCeiling) {
-  bound_queue q(1);
-  q.set_patience(UINT32_MAX);
-  EXPECT_EQ(q.patience(), bound_queue::patience_ceiling);
-  q.set_patience(1u << 30);
-  EXPECT_EQ(q.patience(), bound_queue::patience_ceiling);
-  q.set_patience(0);
-  EXPECT_EQ(q.patience(), 0u);
-  q.set_patience(fps_options::max_tries);
-  EXPECT_EQ(q.patience(), fps_options::max_tries);
-}
-
-TEST_F(AdaptivePatienceBound, ZeroPatienceMeansPureSlowPath) {
-  bound_queue q(1);
-  q.set_patience(0);
-  q.enqueue(7, 0);
-  auto v = q.dequeue(0);
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7u);
-  EXPECT_EQ(attempts(0), 0u) << "patience 0 must skip the fast path";
-  const auto ps = q.path_counters(0);
-  EXPECT_EQ(ps.slow_enqs, 1u);
-  EXPECT_EQ(ps.slow_deqs, 1u);
-  EXPECT_EQ(ps.fast_enqs + ps.fast_deqs, 0u);
-}
-
-TEST_F(AdaptivePatienceBound,
-       FastAttemptsPerOpNeverExceedCeilingUnderStalledPeer) {
-  // Stalled-thread schedule: thread 0 announces a slow-path dequeue and
-  // freezes at the announce point, leaving its descriptor pending for the
-  // whole run — every operation of thread 1 keeps probing/helping it.
-  // Meanwhile a tuner asks for absurd patience; the per-operation
-  // fast-path attempt count (counted by hook, per tid) must still respect
-  // the compile-time ceiling, and thread 1 must keep completing
-  // operations (wait-freedom does not hinge on thread 0).
-  bound_queue q(2);
-  q.set_patience(0);  // push the victim straight to its announce
-  g_gate_open.store(false, std::memory_order_release);
-  g_frozen_tid.store(0, std::memory_order_release);
-  std::optional<std::uint64_t> frozen_result;
-  std::thread frozen([&] { frozen_result = q.dequeue(0); });
-  while (!g_is_frozen.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-
-  q.set_patience(UINT32_MAX);  // tuner gone mad; ops must clamp
-  ASSERT_EQ(q.patience(), bound_queue::patience_ceiling);
-
-  std::uint64_t completed = 0;
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    std::uint64_t before = attempts(1);
-    q.enqueue(i, 1);
-    EXPECT_LE(attempts(1) - before, bound_queue::patience_ceiling)
-        << "enqueue " << i << " exceeded the fast-path step ceiling";
-    before = attempts(1);
-    if (q.dequeue(1).has_value()) ++completed;
-    EXPECT_LE(attempts(1) - before, bound_queue::patience_ceiling)
-        << "dequeue " << i << " exceeded the fast-path step ceiling";
-  }
-  EXPECT_GT(completed, 0u);
-
-  g_gate_open.store(true, std::memory_order_release);
-  frozen.join();
-  // The frozen dequeue was helped: it consumed exactly one element.
-  std::uint64_t drained = 0;
-  while (q.dequeue(1).has_value()) ++drained;
-  EXPECT_EQ(completed + drained + (frozen_result.has_value() ? 1 : 0), 500u);
-}
+// ====================================================== 4. thread stress
 
 TEST(ElasticStress, ContinuousReshardingUnderRealThreadsConservesItems) {
   // The tsan-scale-adaptive CI target: workers hammer an elastic sharded
   // FPS queue while the single tuner thread (main) reshards continuously —
-  // tuner ticks plus a forced grow/shrink/reorder/patience cycle so every
+  // tuner ticks plus a forced grow/shrink/reorder cycle so every
   // adaptation kind runs many times under real concurrency. Conservation:
   // every enqueued value is dequeued exactly once (workers + final drain).
   constexpr std::uint32_t kCap = 4;
@@ -680,11 +465,7 @@ TEST(ElasticStress, ContinuousReshardingUnderRealThreadsConservesItems) {
         break;
       }
       case 2: q.set_active_shards(kCap); break;
-      case 3:
-        for (std::uint32_t s = 0; s < kCap; ++s) {
-          q.shard(s).set_patience(cycle % 3 == 0 ? 0 : 16);
-        }
-        break;
+      case 3: q.set_active_shards(1); break;
     }
     std::this_thread::yield();
   }
@@ -722,10 +503,7 @@ TEST(TunerObs, RegistryExportsTunerGauges) {
   ts.grows = 1;
   ts.shrinks = 2;
   ts.reorders = 3;
-  ts.patience_raises = 4;
-  ts.patience_drops = 1;
   ts.active_shards = 3;
-  ts.patience = 16;
   ts.scan_epoch = 9;
   obs::metrics_snapshot out;
   obs::append_metrics(out, "tuner", ts);
@@ -740,32 +518,8 @@ TEST(TunerObs, RegistryExportsTunerGauges) {
   EXPECT_EQ(value_of("tuner.grows"), 1.0);
   EXPECT_EQ(value_of("tuner.shrinks"), 2.0);
   EXPECT_EQ(value_of("tuner.reorders"), 3.0);
-  EXPECT_EQ(value_of("tuner.patience_raises"), 4.0);
-  EXPECT_EQ(value_of("tuner.patience_drops"), 1.0);
   EXPECT_EQ(value_of("tuner.active_shards"), 3.0);
-  EXPECT_EQ(value_of("tuner.patience"), 16.0);
   EXPECT_EQ(value_of("tuner.scan_epoch"), 9.0);
-}
-
-TEST(TunerObs, RegistryExportsFpsPathSplit) {
-  fps_q q(1);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    q.enqueue(i, 0);
-    (void)q.dequeue(0);
-  }
-  const fps_path_stats ps = q.aggregate_path_counters();
-  EXPECT_EQ(ps.ops(), 20u);
-  obs::metrics_snapshot out;
-  obs::append_metrics(out, "fps", ps);
-  bool found = false;
-  for (const auto& m : out) {
-    if (m.name == "fps.slow_rate") {
-      found = true;
-      EXPECT_GE(m.value, 0.0);
-      EXPECT_LE(m.value, 1.0);
-    }
-  }
-  EXPECT_TRUE(found);
 }
 
 TEST(TunerObs, TunerDecisionsFlowThroughTraceAnalysis) {
@@ -782,8 +536,7 @@ TEST(TunerObs, TunerDecisionsFlowThroughTraceAnalysis) {
   const auto report = obs::analyze_trace(events);
   EXPECT_EQ(report.tuner_decisions, 1u);
   EXPECT_STREQ(tuner_action_name(tuner_action::grow), "grow");
-  EXPECT_STREQ(tuner_action_name(tuner_action::patience_drop),
-               "patience_drop");
+  EXPECT_STREQ(tuner_action_name(tuner_action::reorder), "reorder");
 }
 
 }  // namespace

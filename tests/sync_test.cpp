@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -137,6 +138,25 @@ TEST(ThreadRegistry, IdsAreReleasedOnThreadExit) {
   std::thread t2([&] { seen2 = this_thread_id(); });
   t2.join();
   EXPECT_EQ(seen, seen2) << "dead thread's id was not recycled";
+}
+
+// Exhaustion has one outcome in every build type, NDEBUG included: a
+// message on stderr, then std::abort. The child claims one id more than the
+// namespace holds (ids other tests hold only make it fail sooner); no
+// thread is started.
+TEST(ThreadRegistryDeathTest, ExhaustionAbortsWithMessage) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const std::string message = "kpq::thread_registry: more than " +
+                              std::to_string(max_registered_threads) +
+                              " concurrent threads";
+  EXPECT_DEATH(
+      {
+        auto& reg = thread_registry::instance();
+        for (std::uint32_t i = 0; i <= max_registered_threads; ++i) {
+          (void)reg.acquire();
+        }
+      },
+      message);
 }
 
 TEST(ThreadRegistry, HighWaterTracksClaims) {
