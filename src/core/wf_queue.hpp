@@ -2,7 +2,7 @@
 // paper's Java listing (Figures 1, 2, 4, 6) to unmanaged C++20.
 //
 // Scheme (paper §3.1): every operation picks a monotonically growing *phase*,
-// publishes an operation descriptor in the per-thread `state` array, and then
+// publishes the operation in its entry of the per-thread `state` array, then
 // helps every pending operation whose phase is <= its own. Each operation is
 // split into three atomic steps so helpers can share the work without
 // applying anything twice:
@@ -15,27 +15,18 @@
 //            (2) flip owner's pending->false                   [line 149]
 //            (3) swing head                                    [line 150]
 //
-// C++ port (paper §3.4 prescribes exactly this):
-//   * Hazard pointers protect every dereference and, crucially, every value
-//     a CAS compares against or installs: an expected/desired pointer pinned
-//     by the CASing thread cannot be freed, hence cannot be reallocated,
-//     hence the CAS cannot succeed spuriously (no ABA).
-//   * A completed dequeue's payload is copied into the descriptor
-//     (op_desc::value) by help_finish_deq while the successor node is still
-//     pinned, so deq() never touches a node that may have been retired.
-//   * Descriptors are immutable after publication and flow through the same
-//     reclamation domain as nodes. Replacing a descriptor in `state`
-//     (exchange by the owner, CAS by helpers) retires the old one exactly
-//     once, on the replacing thread. Both descriptors whose installing CAS
-//     failed (never published) and retired ones the reclaimer has proven
-//     unreachable go back to the replacing thread's cache (paper §3.3,
-//     enhancement 1, extended to reclaimed descriptors; core/desc_pool.hpp),
-//     which holds up to one hazard-scan batch. Nodes stay on the Storage
-//     path.
-//   * The owner installs its new descriptor with an atomic exchange, not a
-//     plain store, because helpers may legitimately replace a *completed*
-//     descriptor with an equivalent copy (the paper notes the finish CASes
-//     "may succeed more than once"); exchange makes the retire exactly-once.
+// C++ port (paper §3.4):
+//   * `state` is one request record per thread, updated in place by a
+//     16-byte CAS whose ctl carries a per-transition sequence, and never
+//     freed (core/request.hpp). Helpers CAS only pending records, so the
+//     owner's publish cannot fail and retires nothing.
+//   * Hazard pointers protect every node dereference and every node a CAS
+//     installs; a node read out of a record's word is pinned, then
+//     certified by re-reading ctl.
+//   * The CAS completing a dequeue swaps the claimed sentinel in the
+//     owner's word for the pinned successor's payload, so deq() never
+//     touches a node that may have been retired (boxed if `T` does not fit
+//     the word, core/node.hpp).
 //
 // Progress: enqueue/dequeue complete in O(n) steps plus helping (bounded by
 // the doorway argument, paper §5.3) — wait-free when the reclaimer is
@@ -52,18 +43,23 @@
 // away under `if constexpr`. docs/ALGORITHM.md §3.1 has the design.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
-#include "core/desc_pool.hpp"
 #include "core/help_policy.hpp"
-#include "core/op_desc.hpp"
+#include "core/node.hpp"
 #include "core/phase_policy.hpp"
+#include "core/request.hpp"
 #include "harness/mem_tracker.hpp"
 #include "obs/residency.hpp"
 #include "obs/trace_ring.hpp"
@@ -84,7 +80,7 @@ struct whitebox;
 
 /// Default (no-op) test hooks; see wf_options::hooks.
 struct no_hooks {
-  /// Called right after an operation descriptor is published in `state` and
+  /// Called right after an operation is published in its request record and
   /// before helping starts — the exact point where a thread can stall with
   /// a pending operation that peers must complete for it. On a queue with a
   /// fast path this is the slow-path announce.
@@ -106,19 +102,19 @@ struct wf_options {
   /// (wf_options_traced) to compare traced vs untraced in one binary.
   using trace = obs::default_trace;
   /// Item-residency policy (obs/residency.hpp). With the default
-  /// `no_residency` the node/descriptor stamp field does not exist and every
+  /// `no_residency` the node's stamp field does not exist and every
   /// residency hook folds away — the node keeps the paper's 24-byte shape.
   /// `wf_options_residency` flips it to tick_residency: the enqueuer stamps
-  /// the node pre-publication and the completing dequeue records
-  /// now - stamp into a per-thread log2 histogram (residency_histogram()).
+  /// the node pre-publication and the thread whose CAS completes the
+  /// dequeue records now - stamp into a per-thread log2 histogram
+  /// (residency_histogram()).
   using residency = obs::no_residency;
   /// Per-thread operation counters (wf_counters); zero-cost when off.
   static constexpr bool collect_stats = false;
   /// Enhancement 3: "check whether the pending flag is already switched off
-  /// before applying CAS in Lines 93 or 149" — skips the descriptor
-  /// allocation and the CAS when another helper already completed step (2).
-  /// (Enhancement 1, the descriptor cache, is always on — core/desc_pool.hpp;
-  /// enhancement 2 is not ported: a C++ descriptor pins no memory.)
+  /// before applying CAS in Lines 93 or 149" — skips the record CAS when
+  /// another helper already completed step (2). (Enhancements 1 and 2 are
+  /// about descriptor allocation; request records allocate nothing.)
   static constexpr bool precheck_cas = false;
   /// Fast path: Michael–Scott attempts before announcing on the slow path
   /// (the paper's MAX_FAILURES patience, a constant as in §3.3). 0 compiles
@@ -145,7 +141,7 @@ struct wf_options_stats : wf_options {
 struct wf_options_traced : wf_options {
   using trace = obs::ring_trace;
 };
-/// Item-residency tracking on (stamped nodes/descriptors + histograms).
+/// Item-residency tracking on (stamped nodes + histograms).
 struct wf_options_residency : wf_options {
   using residency = obs::tick_residency;
 };
@@ -164,7 +160,7 @@ struct wf_counters {
   std::uint64_t helped_deq_completions = 0;
   /// Link/claim CASes lost to a concurrent helper (wasted attempts).
   std::uint64_t link_cas_failures = 0;
-  /// Descriptor installs that lost their CAS (recycled via the pool).
+  /// Request-record CASes (stage 0, completion, empty) this thread lost.
   std::uint64_t desc_cas_failures = 0;
   /// Of enq_ops/deq_ops, those completed on the fast path (0 without one);
   /// the rest announced on the slow path.
@@ -191,10 +187,8 @@ template <typename T, typename HelpPolicy = help_all,
           typename Storage = heap_node_storage<
               T, wf_node<T, Options::residency::enabled>>>
 class wf_queue : public mem_tracked {
-  static_assert(std::is_default_constructible_v<T>,
-                "op_desc carries a T payload slot");
-  static_assert(std::is_copy_constructible_v<T>,
-                "helpers copy the dequeued payload concurrently");
+  static_assert(std::is_move_constructible_v<T>,
+                "the dequeue moves the payload out to its caller");
   static_assert(node_storage_for<Storage, Reclaimer>,
                 "Storage must satisfy the node-storage contract "
                 "(storage/storage_concepts.hpp)");
@@ -205,10 +199,8 @@ class wf_queue : public mem_tracked {
 
   using value_type = T;
   using node_type = wf_node<T, track_residency>;
-  using desc_type = op_desc<T, track_residency>;
   using reclaimer_type = Reclaimer;
   using storage_type = Storage;
-  using pool_type = desc_pool<T, track_residency>;
   static_assert(std::is_same_v<typename Storage::node_type, node_type>,
                 "Storage must be instantiated with the queue's node type — "
                 "when residency is enabled the node carries the stamp, e.g. "
@@ -221,53 +213,50 @@ class wf_queue : public mem_tracked {
   static constexpr bool has_fast_path = Options::max_tries > 0;
 
   /// deqTid encoding: no_tid free, [0, n) slow-path claim by that thread,
-  /// fast_claim_base + tid a fast-path claim (no descriptor to complete).
+  /// fast_claim_base + tid a fast-path claim (no record to complete).
   /// The constructor caps max_threads below it so the two cannot collide.
   static constexpr std::int32_t fast_claim_base = 1 << 20;
 
-  /// Hazard slots used per thread: head/first, tail/last, next, descriptor,
-  /// and the node named by a pending descriptor.
-  static constexpr std::uint32_t hp_slots = 5;
-  enum slot : std::uint32_t {
-    s_first = 0,
-    s_last = 1,
-    s_next = 2,
-    s_desc = 3,
-    s_node = 4
-  };
+  /// Hazard slots used per thread: head/first, tail/last, next, and the
+  /// node a pending enqueue's record names.
+  static constexpr std::uint32_t hp_slots = 4;
+  enum slot : std::uint32_t { s_first = 0, s_last = 1, s_next = 2, s_node = 3 };
+
+  /// Bytes one enqueue allocates besides its node: a `T`'s box, if boxed.
+  static constexpr std::size_t box_bytes = inline_value<T> ? 0 : sizeof(T);
+  /// The request records (one padded line each), accounted at construction.
+  static constexpr std::size_t records_bytes(std::uint32_t n) noexcept {
+    return static_cast<std::size_t>(n) * sizeof(padded<request>);
+  }
 
   /// `max_threads` bounds the number of distinct thread ids (dense, from
   /// kpq::this_thread_id() or passed explicitly) that may ever operate on
-  /// this queue (paper: NUM_THRDS). Pass `mc` to account every node and
-  /// descriptor allocation from the first one (the Figure 10 bench does).
-  /// Attaching later via set_memory_counters() is also exact: construction-
-  /// time allocations accumulate into a baseline that the attach replays
-  /// (mem_tracker.hpp). Throws std::invalid_argument for max_threads == 0
-  /// (the sentinel is allocated as tid 0) or >= fast_claim_base.
+  /// this queue (paper: NUM_THRDS). Pass `mc` to account every allocation
+  /// from the first one (the Figure 10 bench does). Attaching later via
+  /// set_memory_counters() is also exact: construction-time allocations
+  /// accumulate into a baseline that the attach replays (mem_tracker.hpp).
+  /// Throws std::invalid_argument for max_threads == 0 (the sentinel is
+  /// allocated as tid 0) or >= fast_claim_base.
   explicit wf_queue(std::uint32_t max_threads, mem_counters* mc = nullptr)
       : n_(checked_max_threads(max_threads)),
         storage_(max_threads, this),
-        pool_(max_threads, this,
-              hp_domain::default_scan_threshold(max_threads * hp_slots)),
         reclaim_(max_threads, hp_slots),
         help_(max_threads),
         phase_(max_threads),
-        state_(max_threads),
+        reqs_(max_threads),
         stats_(Options::collect_stats ? max_threads : 0),
         resi_(track_residency ? max_threads : 0),
         fast_(max_threads) {
     set_memory_counters(mc);
-    node_type* sentinel = alloc_node(0, T{}, no_tid);  // paper line 28
+    account_alloc(records_bytes(n_));
+    // paper line 28; the records start as {0, 0}: not pending
+    node_type* sentinel =
+        storage_.alloc(0, from_word<value_slot<T>>(0), no_tid, reclaim_);
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below —
     // no thread can access the queue before construction returns.
     head_.store(sentinel, std::memory_order_relaxed);
     // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
     tail_.store(sentinel, std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n_; ++i) {  // paper lines 32-34
-      // kpq-order: relaxed pairs-with the ctor-exit seq_cst fence below
-      state_[i]->store(pool_.make(i, no_phase, false, true, nullptr),
-                       std::memory_order_relaxed);
-    }
     seal_baseline();
     std::atomic_thread_fence(std::memory_order_seq_cst);
   }
@@ -280,23 +269,25 @@ class wf_queue : public mem_tracked {
   ~wf_queue() {
     // kpq-order: relaxed pairs-with none (destructor requires quiescence;
     // callers synchronize via thread join before destroying the queue)
-    node_type* n = head_.load(std::memory_order_relaxed);
-    while (n != nullptr) {
+    node_type* const sentinel = head_.load(std::memory_order_relaxed);
+    for (node_type* n = sentinel; n != nullptr;) {
       // kpq-hazard: quiescent — no concurrent retirement during destruction
       // kpq-order: relaxed pairs-with none (quiescent, see above)
       node_type* next = n->next.load(std::memory_order_relaxed);
+      // The sentinel's payload went to its dequeuer; later nodes own theirs.
+      if (n != sentinel) (void)take(n->value);
       storage_.release(n);
       n = next;
     }
     for (std::uint32_t i = 0; i < n_; ++i) {
       // kpq-order: relaxed pairs-with none (quiescent, see above)
-      desc_type* d = state_[i]->load(std::memory_order_relaxed);
-      assert(!d->pending && "destroying a queue with an operation in flight");
-      free_desc(d);
+      assert(!(reqs_[i]->ctl.load(std::memory_order_relaxed) & req::pending) &&
+             "destroying a queue with an operation in flight");
     }
-    // reclaim_ and pool_ drain their retired/cached objects on destruction;
-    // reclaim_ is declared after storage_ and pool_ so its drain still has
-    // a live storage and pool to recycle into (storage_concepts.hpp).
+    account_free(records_bytes(n_));
+    // reclaim_ drains its retired nodes on destruction; it is declared
+    // after storage_ so its drain still has a live storage to recycle into
+    // (storage_concepts.hpp).
   }
 
   // ---------------------------------------------------------------- enqueue
@@ -354,9 +345,9 @@ class wf_queue : public mem_tracked {
   //
   //   * Legal: helping uses `phase <= mine`, so equal phases are already
   //     tolerated (cas_phase takes duplicate phases by design, paper
-  //     footnote 3), and descriptor identity — never the phase — is what
-  //     the completion CASes compare. A batch item publishing an "old"
-  //     phase can only make itself MORE helpable.
+  //     footnote 3), and the record CASes compare the sequence, which is
+  //     new for every item, never the phase. A batch item publishing an
+  //     "old" phase can only make itself MORE helpable.
   //   * Wait-free: the doorway bound (paper §5.3) counts operations with
   //     phase <= p that can linearize before an operation with phase p; a
   //     batch adds at most its own length to that count, so the step bound
@@ -423,9 +414,6 @@ class wf_queue : public mem_tracked {
   reclaimer_type& reclaimer() noexcept { return reclaim_; }
   storage_type& storage() noexcept { return storage_; }
   const storage_type& storage() const noexcept { return storage_; }
-  const pool_type& descriptor_pool() const noexcept {
-    return pool_;
-  }
 
   /// Merged item-residency histogram in TICKS (obs/calibrate.hpp converts to
   /// ns). Meaningful only when `track_residency`; scrape-safe while workers
@@ -469,13 +457,13 @@ class wf_queue : public mem_tracked {
   // Public because the help/phase policies drive them; not part of the user
   // API.
 
-  /// paper lines 48-57
+  /// paper lines 48-57 (plain loads: only the owner writes a phase).
   template <typename Guard>
-  std::int64_t max_phase(Guard& g) {
+  std::int64_t max_phase(Guard& /*g*/) {
     std::int64_t m = no_phase;
     for (std::uint32_t i = 0; i < n_; ++i) {
-      desc_type* d = g.protect(s_desc, state_[i].get());
-      if (d->phase > m) m = d->phase;
+      const std::int64_t p = phase_of(i);
+      if (p > m) m = p;
     }
     return m;
   }
@@ -485,33 +473,35 @@ class wf_queue : public mem_tracked {
   template <typename Guard>
   void help_if_needed(std::uint32_t i, std::int64_t phase, Guard& g,
                       std::uint32_t my) {
-    desc_type* d = g.protect(s_desc, state_[i].get());
-    if (d->pending && d->phase <= phase) {  // line 39
-      // A helping episode: this thread works on thread i's operation. Own
-      // operations (i == my) are not episodes — that is just completing.
-      // The victim's phase is captured while `d` is still hazard-protected:
-      // help_enq/help_deq reuse the s_desc slot, and completion retires the
-      // descriptor, so `d` must not be dereferenced after they return.
-      const bool traced_episode = trace_type::enabled && i != my;
-      const std::int64_t victim_phase = traced_episode ? d->phase : 0;
-      if (traced_episode) {
-        trace_type::record(my, obs::trace_kind::help_start, victim_phase, i);
-      }
-      if (d->enqueue) {
-        help_enq(i, phase, g, my);  // line 41
-      } else {
-        help_deq(i, phase, g, my);  // line 43
-      }
-      if (traced_episode) {
-        trace_type::record(my, obs::trace_kind::help_finish, victim_phase, i);
-      }
+    const std::uint64_t ctl = ctl_of(i);
+    if (!(ctl & req::pending)) return;
+    const std::int64_t victim_phase = phase_of(i);
+    if (victim_phase > phase) return;  // line 39
+    // A helping episode: this thread works on thread i's operation. Own
+    // operations (i == my) are not episodes — that is just completing.
+    const bool traced_episode = trace_type::enabled && i != my;
+    if (traced_episode) {
+      trace_type::record(my, obs::trace_kind::help_start, victim_phase, i);
+    }
+    if (ctl & req::enqueue) {
+      help_enq(i, phase, g, my);  // line 41
+    } else {
+      help_deq(i, phase, g, my);  // line 43
+    }
+    if (traced_episode) {
+      trace_type::record(my, obs::trace_kind::help_finish, victim_phase, i);
     }
   }
 
  private:
   friend struct kpq::testing::whitebox;
 
-  using state_slot = std::atomic<desc_type*>;
+  /// A record's {ctl, word}, read ctl first: `word` is from that state or a
+  /// later one, and from that state if a re-read of ctl is unchanged.
+  struct snapshot {
+    std::uint64_t ctl;
+    std::uint64_t word;
+  };
 
   // ------------------------------------------------------------ entry checks
   // `tid` indexes every per-thread array, so an out-of-range id would be
@@ -533,16 +523,16 @@ class wf_queue : public mem_tracked {
   }
 
   // --------------------------------------------------------------- announce
-  // The paper's operation once its phase is drawn: publish the descriptor,
-  // help, finish. A queue with a fast path reaches these only after its
-  // fast attempts failed; its probe already helped a peer, so it completes
-  // only its own operation here.
+  // The paper's operation once its phase is drawn: publish it in the
+  // record, help, finish. A queue with a fast path reaches these only after
+  // its fast attempts failed; its probe already helped a peer, so it
+  // completes only its own operation here.
 
   /// paper lines 63-65
   template <typename Guard>
   void announce_enq(std::uint32_t tid, std::int64_t phase, node_type* node,
                     Guard& g) {
-    publish(tid, pool_.make(tid, phase, true, true, node));  // line 63
+    publish(tid, phase, req::pending | req::enqueue, word_of(node));  // 63
     if constexpr (Options::collect_stats) ++stats_[tid]->enq_ops;
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::enq_publish, phase, 0);
@@ -553,7 +543,10 @@ class wf_queue : public mem_tracked {
     } else {
       help_.run(*this, tid, phase, g);  // line 64
     }
-    help_finish_enq(tid, g);  // line 65
+    // line 65: return only once the tail is past our node — when our record
+    // moves on, nobody else can tell it is the node to swing past. Tail at
+    // the node (our own step 3, uncontended) already is.
+    if (tail_.load(std::memory_order_seq_cst) != node) help_finish_enq(tid, g);
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::enq_complete, phase, 0);
     }
@@ -563,7 +556,7 @@ class wf_queue : public mem_tracked {
   template <typename Guard>
   std::optional<T> announce_deq(std::uint32_t tid, std::int64_t phase,
                                 Guard& g) {
-    publish(tid, pool_.make(tid, phase, true, false, nullptr));  // line 100
+    publish(tid, phase, req::pending, 0);  // line 100
     if constexpr (Options::collect_stats) ++stats_[tid]->deq_ops;
     if constexpr (trace_type::enabled) {
       trace_type::record(tid, obs::trace_kind::deq_publish, phase, 0);
@@ -575,13 +568,13 @@ class wf_queue : public mem_tracked {
       help_.run(*this, tid, phase, g);  // line 101
     }
     help_finish_deq(tid, g);  // line 102
-    // Our completed descriptor may still be replaced by an equivalent copy
-    // by a helper finishing stage 2/3 late, so protect before reading.
-    desc_type* d = g.protect(s_desc, state_[tid].get());  // line 103
+    // line 103: a completed record stays as it is until its owner publishes
+    // again (helpers CAS only pending records).
+    const request& r = reqs_[tid].get();
     std::optional<T> result;
-    if (d->node != nullptr) {
-      result = d->value;  // §3.4: payload lives in d
-      record_residency(tid, *d);
+    if (r.ctl.load(std::memory_order_seq_cst) & req::has_value) {
+      result.emplace(take(from_word<value_slot<T>>(
+          r.word.load(std::memory_order_seq_cst))));
     }
     if constexpr (Options::collect_stats) {
       if (!result.has_value()) ++stats_[tid]->empty_deqs;
@@ -590,8 +583,7 @@ class wf_queue : public mem_tracked {
       trace_type::record(tid, obs::trace_kind::deq_complete, phase,
                          result.has_value() ? 1 : 0);
     }
-    g.clear(s_desc);
-    return result;  // d->node == nullptr: linearized on an empty queue
+    return result;  // no value: linearized on an empty queue
   }
 
   // -------------------------------------------------------------- fast path
@@ -606,13 +598,7 @@ class wf_queue : public mem_tracked {
     const std::uint32_t candidate = k;
     k = (k + 1 == n_) ? 0 : k + 1;
     if (candidate == my) return;
-    desc_type* d = g.protect(s_desc, state_[candidate].get());
-    if (!d->pending) return;
-    if (d->enqueue) {
-      help_enq(candidate, d->phase, g, my);
-    } else {
-      help_deq(candidate, d->phase, g, my);
-    }
+    help_if_needed(candidate, phase_of(candidate), g, my);
   }
 
   /// Up to max_tries plain MS link attempts of `node` (enq_tid == no_tid).
@@ -661,16 +647,16 @@ class wf_queue : public mem_tracked {
         continue;
       }
       // `next` is safe to read: first == head implies next not yet retired.
-      T value = next->value;
-      const residency_base<track_residency> stamp = *next;
+      // Only the winning claim takes its payload.
+      const value_slot<T> payload = next->value;
       std::int32_t expected = no_tid;
       if (first->deq_tid.compare_exchange_strong(
               expected, fast_claim_base + static_cast<std::int32_t>(tid),
               std::memory_order_seq_cst)) {
         count_fast(tid, /*is_enq=*/false);
+        record_residency(tid, *next);
         help_finish_deq(tid, g);  // swing head; winner retires the sentinel
-        record_residency(tid, stamp);
-        out = std::move(value);
+        out.emplace(take(payload));
         return true;
       }
       // Someone else (fast or slow) claimed it: finish them, retry.
@@ -687,29 +673,59 @@ class wf_queue : public mem_tracked {
 
   /// An operation completed on the fast path (the slow path counts its
   /// own in announce_enq/announce_deq).
-  void count_fast(std::uint32_t tid, bool is_enq) noexcept {
+  void count_fast([[maybe_unused]] std::uint32_t tid,
+                  [[maybe_unused]] bool is_enq) noexcept {
     if constexpr (Options::collect_stats) {
       wf_counters& c = stats_[tid].get();
       ++(is_enq ? c.enq_ops : c.deq_ops);
       ++(is_enq ? c.fast_enqs : c.fast_deqs);
-    } else {
-      (void)tid;
-      (void)is_enq;
     }
   }
 
   // ------------------------------------------------------------- allocation
-  // Nodes live wherever the Storage policy puts them (storage/); descriptors
-  // stay heap objects recycled through desc_pool — they are small, reused
-  // aggressively, and their lifetime is tied to `state`, not the list. The
-  // reclaimer hands a retired descriptor back to the retiring thread's pool.
+  // Nodes live wherever the Storage policy puts them (storage/); a payload
+  // box is an accounted heap object freed by the dequeue that takes it.
 
   node_type* alloc_node(std::uint32_t tid, T v, std::int32_t etid) {
-    return storage_.alloc(tid, std::move(v), etid, reclaim_);
+    if constexpr (inline_value<T>) {
+      return storage_.alloc(tid, v, etid, reclaim_);
+    } else {
+      T* box = new T(std::move(v));
+      account_alloc(sizeof(T));
+      try {
+        return storage_.alloc(tid, box, etid, reclaim_);
+      } catch (...) {
+        (void)take(box);
+        throw;
+      }
+    }
   }
-  void free_desc(desc_type* d) noexcept {
-    account_free(sizeof(desc_type));
-    delete d;
+
+  /// The payload a node's slot carries; a box is consumed.
+  T take(value_slot<T> payload) {
+    if constexpr (inline_value<T>) {
+      return payload;
+    } else {
+      T v(std::move(*payload));
+      delete payload;
+      account_free(sizeof(T));
+      return v;
+    }
+  }
+
+  /// A record word and what it carries (a node pointer or a value slot),
+  /// bit for bit.
+  template <typename P>
+  static std::uint64_t word_of(P p) noexcept {
+    std::uint64_t w = 0;
+    std::memcpy(&w, &p, sizeof(P));
+    return w;
+  }
+  template <typename P>
+  static P from_word(std::uint64_t w) noexcept {
+    std::array<unsigned char, sizeof(P)> raw;
+    std::memcpy(raw.data(), &w, sizeof(P));
+    return std::bit_cast<P>(raw);
   }
 
   void retire_node(std::uint32_t tid, node_type* n) {
@@ -718,41 +734,76 @@ class wf_queue : public mem_tracked {
     }
     storage_.retire(tid, n, reclaim_);
   }
-  void retire_desc(std::uint32_t tid, desc_type* d) {
-    reclaim_.retire(tid, d, &pool_type::reclaim_fn, pool_.retire_ctx(tid));
+
+  // ---------------------------------------------------------------- records
+
+  std::uint64_t ctl_of(std::uint32_t tid) const noexcept {
+    return reqs_[tid]->ctl.load(std::memory_order_seq_cst);
+  }
+  std::int64_t phase_of(std::uint32_t tid) const noexcept {
+    return reqs_[tid]->phase.load(std::memory_order_seq_cst);
+  }
+  snapshot read_req(std::uint32_t tid) const noexcept {
+    const request& r = reqs_[tid].get();
+    const std::uint64_t ctl = r.ctl.load(std::memory_order_seq_cst);
+    return {ctl, r.word.load(std::memory_order_seq_cst)};
   }
 
-  /// Owner installs a fresh descriptor; the displaced one is retired here,
-  /// exactly once (see file comment on why exchange, not store).
-  void publish(std::uint32_t tid, desc_type* d) {
-    desc_type* old = state_[tid]->exchange(d, std::memory_order_seq_cst);
-    retire_desc(tid, old);
+  /// Owner publishes a new operation (lines 63 / 100). No helper CASes a
+  /// record that is not pending, so this CAS cannot fail.
+  void publish(std::uint32_t tid, std::int64_t phase, std::uint64_t flags,
+               std::uint64_t word) {
+    request& r = reqs_[tid].get();
+    // kpq-order: relaxed pairs-with none (only the owner writes a record
+    // that is not pending; coherence returns the last CAS this thread saw)
+    const std::uint64_t ctl = r.ctl.load(std::memory_order_relaxed);
+    // kpq-order: relaxed pairs-with none (as above)
+    const std::uint64_t old = r.word.load(std::memory_order_relaxed);
+    assert(!(ctl & req::pending) && "one operation per thread at a time");
+    // kpq-order: relaxed pairs-with the helpers' seq_cst ctl loads (the CAS
+    // below is a full barrier, ordering this store before the pending ctl)
+    r.phase.store(phase, std::memory_order_relaxed);
+    [[maybe_unused]] const bool ok =
+        cas_request(r, ctl, old, req::next(ctl, flags), word);
+    assert(ok && "a record that is not pending changed under its owner");
   }
 
-  /// Try to swap state_[tid]: curr -> repl. Retires curr on success,
-  /// recycles repl (never published) on failure. `curr` must be pinned by
-  /// the caller (slot s_desc) — that pin is what makes the CAS ABA-free.
-  bool swap_state(std::uint32_t tid, std::uint32_t my_tid, desc_type* curr,
-                  desc_type* repl) {
-    desc_type* expected = curr;
-    if (state_[tid]->compare_exchange_strong(expected, repl,
-                                             std::memory_order_seq_cst)) {
-      retire_desc(my_tid, curr);
+  /// A helper's transition of `tid`'s record from `s`; a loss is counted.
+  bool move_req(std::uint32_t tid, const snapshot& s, std::uint64_t flags,
+                std::uint64_t word, std::uint32_t my) noexcept {
+    if (cas_request(reqs_[tid].get(), s.ctl, s.word, req::next(s.ctl, flags),
+                    word)) {
       return true;
     }
-    if constexpr (Options::collect_stats) ++stats_[my_tid]->desc_cas_failures;
-    pool_.recycle(my_tid, repl);
+    if constexpr (Options::collect_stats) ++stats_[my]->desc_cas_failures;
     return false;
+  }
+
+  /// Step (2) (lines 93 / 149): `tid`'s record from the pending {ctl, word}
+  /// (`word` names a node the caller pinned) to completed. If `ctl` shows
+  /// it completed already, §3.3 enhancement 3 skips the CAS; without it the
+  /// CAS is issued with the pending bit and fails (no completed state's
+  /// sequence ever carried it). True if this thread completed it.
+  bool complete(std::uint32_t tid, std::uint64_t ctl, std::uint64_t word,
+                std::uint64_t done_flags, std::uint64_t done_word,
+                std::uint32_t my) noexcept {
+    if (!(ctl & req::pending)) {
+      if constexpr (Options::precheck_cas) return false;
+      ctl |= req::pending;
+    }
+    return move_req(tid, {ctl, word}, done_flags, done_word, my);
   }
 
   // ----------------------------------------------------------------- helping
 
-  /// paper lines 58-60 (descriptor must be re-read each call; the returned
-  /// snapshot is consistent because descriptors are immutable).
-  template <typename Guard>
-  bool is_still_pending(std::uint32_t tid, std::int64_t ph, Guard& g) {
-    desc_type* d = g.protect(s_desc, state_[tid].get());
-    return d->pending && d->phase <= ph;
+  /// paper lines 58-60, plus the kind (req::enqueue or 0): the phase read
+  /// after ctl may be the owner's next operation's, and must not send
+  /// help_enq into a dequeue, or vice versa.
+  bool is_still_pending(std::uint32_t tid, std::int64_t ph,
+                        std::uint64_t kind) const noexcept {
+    return (ctl_of(tid) & (req::pending | req::enqueue)) ==
+               (req::pending | kind) &&
+           phase_of(tid) <= ph;
   }
 
   /// paper lines 67-84. `tid` owns the pending enqueue; the caller's thread
@@ -761,36 +812,51 @@ class wf_queue : public mem_tracked {
   template <typename Guard>
   void help_enq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (is_still_pending(tid, phase, g)) {                  // line 68
+    while (is_still_pending(tid, phase, req::enqueue)) {    // line 68
       node_type* last = g.protect(s_last, tail_);              // line 69
       node_type* next = g.protect(s_next, last->next);         // line 70
       if (last != tail_.load(std::memory_order_seq_cst)) {     // line 71
         continue;
       }
       if (next == nullptr) {  // line 72: enqueue can be applied
-        // line 73: the operation must still be pending, and we must fetch
-        // the node from the *current* descriptor...
-        desc_type* d = g.protect(s_desc, state_[tid].get());
-        if (!(d->pending && d->phase <= phase)) continue;
-        node_type* node = d->node;
-        // ...and pin that node across the CAS: a pending descriptor's node
-        // is not yet retired (it cannot be dequeued before the operation's
-        // pending flag clears), and the pin keeps it so.
-        g.protect_raw(s_node, node);
-        if (state_[tid]->load(std::memory_order_seq_cst) != d) continue;
-        node_type* expected = nullptr;
-        if (last->next.compare_exchange_strong(
-                expected, node, std::memory_order_seq_cst)) {  // line 74
-          g.clear(s_node);
-          help_finish_enq(my, g);  // line 75
-          return;                  // line 76
+        // line 73: the operation must still be pending, and the node comes
+        // from the record's *current* state.
+        const snapshot s = read_req(tid);
+        if (!((s.ctl & req::pending) && (s.ctl & req::enqueue) &&
+              phase_of(tid) <= phase)) {
+          continue;
         }
-        if constexpr (Options::collect_stats) ++stats_[my]->link_cas_failures;
-        g.clear(s_node);
+        if (link_enq(tid, s, last, g, my)) {  // line 74
+          help_finish_enq(my, g);             // line 75
+          return;                             // line 76
+        }
       } else {                          // line 79: an enqueue is in progress
         help_finish_enq(my, g);           // line 80: help it first, then retry
       }
     }
+  }
+
+  /// Step (1) of the pending enqueue `s` read from `tid`'s record: link its
+  /// node after `last`. False if the record moved or the CAS lost.
+  template <typename Guard>
+  bool link_enq(std::uint32_t tid, const snapshot& s, node_type* last,
+                Guard& g, std::uint32_t my) {
+    // kpq-hazard: read out of an integer word (invisible to R3); pinned,
+    // then certified by the ctl re-check: same ctl, same state, so still a
+    // pending enqueue's node, which cannot have been dequeued or retired.
+    node_type* node = from_word<node_type*>(s.word);
+    g.protect_raw(s_node, node);
+    bool linked = false;
+    if (ctl_of(tid) == s.ctl) {
+      node_type* expected = nullptr;
+      linked = last->next.compare_exchange_strong(expected, node,
+                                                  std::memory_order_seq_cst);
+      if constexpr (Options::collect_stats) {
+        if (!linked) ++stats_[my]->link_cas_failures;
+      }
+    }
+    g.clear(s_node);
+    return linked;
   }
 
   /// paper lines 85-97 (steps 2 and 3 of the enqueue scheme).
@@ -809,8 +875,8 @@ class wf_queue : public mem_tracked {
     if (last != tail_.load(std::memory_order_seq_cst)) return;
     const std::int32_t etid = next->enq_tid;           // line 89
     if constexpr (has_fast_path) {
-      // A fast node has no descriptor: only the tail swing (step 3)
-      // applies, and skipping step 2 is safe because nothing is pending.
+      // A fast node has no record: only the tail swing (step 3) applies,
+      // and skipping step 2 is safe because nothing is pending.
       if (etid == no_tid) {
         tail_.compare_exchange_strong(last, next, std::memory_order_seq_cst);
         return;
@@ -818,20 +884,19 @@ class wf_queue : public mem_tracked {
     }
     assert(etid != no_tid);
     const auto tid = static_cast<std::uint32_t>(etid);
-    desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 90
+    // line 90: published before `next` was linked, so this read sees that
+    // enqueue or later; `next` is pinned, so a later one cannot share its
+    // address: `word == next` with the enqueue flag is that operation.
+    const snapshot s = read_req(tid);
     if (last == tail_.load(std::memory_order_seq_cst) &&
-        cur->node == next) {  // line 91 (cur is current: protect validated)
-      // §3.3 enhancement 3: if step (2) is already done, skip straight to
-      // the tail swing (still safe: stage 3 only ever follows a completed
-      // stage 2, which pending==false certifies).
-      if (!Options::precheck_cas || cur->pending) {
-        // line 92: new descriptor marking the operation linearized...
-        desc_type* fresh = pool_.make(my, cur->phase, false, true, next);
-        const bool won = swap_state(tid, my, cur, fresh);  // line 93 (step 2)
-        if constexpr (Options::collect_stats) {
-          if (won && tid != my) ++stats_[my]->helped_enq_completions;
-        }
+        (s.ctl & req::enqueue) && s.word == word_of(next)) {  // line 91
+      [[maybe_unused]] const bool won = complete(
+          tid, s.ctl, s.word, req::enqueue, s.word, my);  // 92-93 (step 2)
+      if constexpr (Options::collect_stats) {
+        if (won && tid != my) ++stats_[my]->helped_enq_completions;
       }
+      // Step 3 follows a completed step 2: a pending enqueue's only other
+      // transition is its completion.
       tail_.compare_exchange_strong(last, next,
                                     std::memory_order_seq_cst);  // 94 (step 3)
     }
@@ -841,7 +906,7 @@ class wf_queue : public mem_tracked {
   template <typename Guard>
   void help_deq(std::uint32_t tid, std::int64_t phase, Guard& g,
                 std::uint32_t my) {
-    while (is_still_pending(tid, phase, g)) {              // line 110
+    while (is_still_pending(tid, phase, 0)) {           // line 110
       node_type* first = g.protect(s_first, head_);        // line 111
       node_type* last = tail_.load(std::memory_order_seq_cst);  // line 112
       node_type* next = g.protect(s_next, first->next);    // line 113
@@ -850,26 +915,28 @@ class wf_queue : public mem_tracked {
       }
       if (first == last) {      // line 115: queue might be empty
         if (next == nullptr) {  // line 116: queue is empty
-          desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 117
+          const snapshot s = read_req(tid);  // line 117
           if (last == tail_.load(std::memory_order_seq_cst) &&
-              cur->pending && cur->phase <= phase) {  // line 118
+              (s.ctl & (req::pending | req::enqueue)) == req::pending &&
+              phase_of(tid) <= phase) {  // line 118
             // lines 119-120: mark the operation completed-empty.
-            desc_type* fresh =
-                pool_.make(my, cur->phase, false, false, nullptr);
-            swap_state(tid, my, cur, fresh);
+            move_req(tid, s, 0, 0, my);
           }
         } else {                     // line 122: an enqueue is in progress
           help_finish_enq(my, g);    // line 123
         }
       } else {  // line 125: queue is not empty
-        desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 126
-        node_type* node = cur->node;                            // line 127
-        if (!(cur->pending && cur->phase <= phase)) break;      // line 128
+        const snapshot s = read_req(tid);                        // line 126
+        if ((s.ctl & (req::pending | req::enqueue)) != req::pending ||
+            phase_of(tid) > phase) {  // line 128
+          break;
+        }
+        // line 127: the node must be this state's own (consistent read).
+        if (ctl_of(tid) != s.ctl) continue;
         if (first == head_.load(std::memory_order_seq_cst) &&
-            node != first) {  // line 129
-          // lines 130-131: stage 0 — point tid's state at the sentinel.
-          desc_type* fresh = pool_.make(my, cur->phase, true, false, first);
-          if (!swap_state(tid, my, cur, fresh)) {
+            s.word != word_of(first)) {  // line 129
+          // lines 130-131: stage 0 — point tid's record at the sentinel.
+          if (!move_req(tid, s, req::pending, word_of(first), my)) {
             continue;  // line 132
           }
         }
@@ -891,7 +958,7 @@ class wf_queue : public mem_tracked {
         first->deq_tid.load(std::memory_order_seq_cst);  // line 144
     if (dtid == no_tid) return;                          // line 145
     if constexpr (has_fast_path) {
-      // A fast claim has no descriptor: only the head swing (step 3).
+      // A fast claim has no record: only the head swing (step 3).
       if (dtid >= fast_claim_base) {
         if (first == head_.load(std::memory_order_seq_cst) &&
             next != nullptr &&
@@ -903,23 +970,19 @@ class wf_queue : public mem_tracked {
       }
     }
     const auto tid = static_cast<std::uint32_t>(dtid);
-    desc_type* cur = g.protect(s_desc, state_[tid].get());  // line 146
+    // line 146: tid claimed `first` from its stage-0 state {ctl, first}, so
+    // this read sees that state or its completion.
+    const std::uint64_t ctl = ctl_of(tid);
     if (first == head_.load(std::memory_order_seq_cst) &&
         next != nullptr) {  // line 147
-      // §3.3 enhancement 3 (see help_finish_enq).
-      if (!Options::precheck_cas || cur->pending) {
-        // line 148 + §3.4: copy the payload out of the (pinned) successor
-        // into the descriptor so the caller never revisits these nodes.
-        desc_type* fresh =
-            pool_.make(my, cur->phase, false, false, cur->node, next->value);
-        // The residency stamp rides along with the payload — copied while
-        // `next` is still pinned, whichever helper completes the op. This is
-        // why helping does not distort residency: the stamp is a property of
-        // the ITEM, carried unchanged to whoever returns it.
-        if constexpr (track_residency) fresh->enq_ts = next->enq_ts;
-        const bool won = swap_state(tid, my, cur, fresh);  // line 149 (step 2)
+      // lines 148-149 + §3.4: the completing CAS swaps the (pinned) sentinel
+      // for the (pinned) successor's payload.
+      if (complete(tid, ctl, word_of(first), req::has_value,
+                   word_of(next->value), my)) {  // line 149 (step 2)
+        // It wins once per item: its thread records the residency sample.
+        record_residency(my, *next);
         if constexpr (Options::collect_stats) {
-          if (won && tid != my) ++stats_[my]->helped_deq_completions;
+          if (tid != my) ++stats_[my]->helped_deq_completions;
         }
       }
       if (head_.compare_exchange_strong(
@@ -931,34 +994,29 @@ class wf_queue : public mem_tracked {
     }
   }
 
-  /// Residency measurement at dequeue-completion: the stamp was taken at
-  /// enqueue-publish and carried through help_finish_deq into `d`. Clamped
-  /// at zero against cross-core TSC skew (invariant TSC keeps this rare).
-  void record_residency(std::uint32_t tid,
-                        const residency_base<track_residency>& d) noexcept {
+  /// Residency of the item in node `n` (stamped at enqueue-publish), at
+  /// dequeue completion. Clamped at zero against cross-core TSC skew.
+  void record_residency([[maybe_unused]] std::uint32_t tid,
+                        [[maybe_unused]] const node_type& n) noexcept {
     if constexpr (track_residency) {
       const std::uint64_t now = residency_type::now();
-      resi_.add(tid, now > d.enq_ts ? now - d.enq_ts : 0);
-    } else {
-      (void)tid;
-      (void)d;
+      resi_.add(tid, now > n.enq_ts ? now - n.enq_ts : 0);
     }
   }
 
   // ------------------------------------------------------------------- data
 
   const std::uint32_t n_;
-  // storage_ and pool_ before reclaim_: reclaimer shutdown drains segment
-  // and descriptor retirements through callbacks into them.
+  // storage_ before reclaim_: reclaimer shutdown drains segment
+  // retirements through callbacks into it.
   Storage storage_;
-  pool_type pool_;
   Reclaimer reclaim_;
   HelpPolicy help_;
   PhasePolicy phase_;
 
   alignas(destructive_interference) std::atomic<node_type*> head_{nullptr};
   alignas(destructive_interference) std::atomic<node_type*> tail_{nullptr};
-  std::vector<padded<state_slot>> state_;  // paper line 26
+  std::vector<padded<request>> reqs_;  // paper line 26: `state`
   std::vector<padded<wf_counters>> stats_;  // empty unless collect_stats
   obs::residency_probe resi_;  // empty unless track_residency
 

@@ -6,17 +6,17 @@
 // helpers — so operation latency histograms cannot answer the operator
 // question "how stale is the work my consumers pull". Residency is a
 // property of the ITEM, not the op: the enqueuer stamps the node once,
-// before publication, and whichever thread's dequeue ultimately returns the
-// value measures now - stamp. Helping does not distort it: no matter how
-// many helpers touched the descriptor in between, the stamp rode along
-// unchanged (help_finish_deq copies it into the completing descriptor while
-// the node is still hazard-protected, exactly like `value`).
+// before publication, and the thread whose CAS completes the item's dequeue
+// measures now - stamp, while the node is still hazard-protected. That CAS
+// wins exactly once per item, so helping neither drops nor doubles a
+// sample; it only moves the sample into the helper's per-thread histogram,
+// and the merged histogram is the same.
 //
 // Threading: a compile-time policy on the queue Options (`using residency =
 // obs::tick_residency;`), read like the trace policy; wf_options defaults
-// it to no_residency. When disabled the stamp field does not exist (op_desc.hpp keeps the
-// paper's 24-byte node, pinned by shape_regression_test) and every hook site
-// folds away under `if constexpr` — zero cost, verified by fig_residency
+// it to no_residency. When disabled the stamp field does not exist (node.hpp
+// keeps the paper's 24-byte node, pinned by shape_regression_test) and every
+// hook site folds away under `if constexpr` — zero cost, verified by fig_residency
 // against the fig7 baseline. When enabled, recording is one tick_now() per
 // enqueue + one per successful dequeue and a relaxed histogram increment.
 #pragma once
@@ -35,8 +35,8 @@ namespace kpq::obs {
 
 // ----------------------------------------------------------------- policies
 
-/// Residency compiled out (the default): no stamp field in nodes or
-/// descriptors, no hook code — codegen identical to a residency-free build.
+/// Residency compiled out (the default): no stamp field in nodes, no hook
+/// code — codegen identical to a residency-free build.
 struct no_residency {
   static constexpr bool enabled = false;
   static std::uint64_t now() noexcept { return 0; }

@@ -74,9 +74,9 @@ inline double estimate_tick_hz() {
 /// What happened. Kept to one byte; the event's meaning for `phase`/`aux` is
 /// listed per kind (docs/OBSERVABILITY.md has the full schema table).
 enum class trace_kind : std::uint8_t {
-  enq_publish = 0,   // descriptor published; phase = op phase
+  enq_publish = 0,   // request published;    phase = op phase
   enq_complete = 1,  // enqueue returned;     phase = op phase
-  deq_publish = 2,   // descriptor published; phase = op phase
+  deq_publish = 2,   // request published;    phase = op phase
   deq_complete = 3,  // dequeue returned;     phase = op phase, aux = 1 if hit
   help_start = 4,    // tid begins helping;   phase = victim phase, aux = victim
   help_finish = 5,   // helping returned;     phase = victim phase, aux = victim

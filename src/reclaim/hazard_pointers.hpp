@@ -7,16 +7,19 @@
 // one line per thread rather than one per slot, and a guard's exit clears a
 // single line. Each thread also owns a padded retired list that carries its
 // retire/free statistics as owner-written cells (no shared RMW on the hot
-// path). retire() appends to the owner's list; when the list crosses the
-// scan threshold the owner scans all announcement slots once and frees
-// every retired object not announced.
+// path). retire() appends to the owner's list; at the scan threshold R the
+// owner snapshots all announcement slots once and the list becomes a batch,
+// freed drain_per_retire objects per later retire(): an object retired
+// before the snapshot and absent from it stays unreachable (a later
+// announcement fails its validation). No operation pays R frees, and the
+// retired-but-unfreed count still peaks at R.
 //
 // Progress: protect() is a validation loop, but each iteration corresponds
 // to the *source* pointer changing, which in the queues only happens when
 // some operation completes a step — so under the same argument the paper
 // uses for its retry loops, the loop is bounded once the thread's own phase
-// becomes the oldest. scan() is a bounded O(H + R) pass. retire() is O(1)
-// amortised, O(H + R) worst case. No step blocks on another thread.
+// becomes the oldest. retire() is O(H log H) worst case, scan() a bounded
+// O(H + R) pass. No step blocks on another thread.
 #pragma once
 
 #include <algorithm>
@@ -24,6 +27,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "obs/trace_ring.hpp"
@@ -64,9 +68,7 @@ class hp_domain {
 
   /// The default scan batch R for `total_slots` = H announcement slots:
   /// Michael's recommendation R >= H * (1 + small constant); the +64
-  /// amortises the scan for tiny configurations. One scan hands back at
-  /// most one batch, which is what wf_queue sizes each thread's descriptor
-  /// cache to (core/desc_pool.hpp).
+  /// amortises the scan for tiny configurations.
   static constexpr std::uint32_t default_scan_threshold(
       std::uint32_t total_slots) noexcept {
     return 2 * total_slots + 64;
@@ -80,20 +82,26 @@ class hp_domain {
   ~hp_domain() {
     for (auto& r : retired_) {
       for (auto& item : r->items) item.fn(item.ctx, item.p);
+      for (std::size_t i = r->next; i < r->batch.size(); ++i) {
+        r->batch[i].fn(r->batch[i].ctx, r->batch[i].p);
+      }
     }
   }
 
   class guard {
    public:
     guard(hp_domain& d, std::uint32_t tid) noexcept
-        : d_(&d), block_(d.block(tid)) {}
+        : d_(&d), block_(d.block(tid)), tid_(tid) {}
     guard(const guard&) = delete;
     guard& operator=(const guard&) = delete;
-    guard(guard&& o) noexcept : d_(o.d_), block_(o.block_) { o.d_ = nullptr; }
+    guard(guard&& o) noexcept : d_(o.d_), block_(o.block_), tid_(o.tid_) {
+      o.d_ = nullptr;
+    }
 
     ~guard() {
       if (d_) {
         for (std::uint32_t i = 0; i < d_->slots_per_thread_; ++i) clear(i);
+        d_->retry_ranges(tid_);
       }
     }
 
@@ -111,18 +119,22 @@ class hp_domain {
     /// could free `p` after this load sees the announcement. The returned
     /// value still comes from a seq_cst read of `src`, so the queue's SC
     /// linearization argument (docs/ALGORITHM.md §5) is unchanged.
+    ///
+    /// A null read is returned without touching the slot: there is nothing
+    /// to protect, and whatever the slot still announces stays announced
+    /// (at worst that object is freed one scan later).
     template <typename T>
     T* protect(std::uint32_t slot, const std::atomic<T*>& src) noexcept {
       std::atomic<void*>& h = slot_at(slot);
       T* p = src.load(std::memory_order_seq_cst);
       // kpq-order: relaxed pairs-with none (reads this thread's own slot,
       // which only this thread writes: coherence returns its latest store)
-      if (h.load(std::memory_order_relaxed) == p) return p;
+      if (p == nullptr || h.load(std::memory_order_relaxed) == p) return p;
       for (;;) {
         h.store(const_cast<std::remove_const_t<T>*>(p),
                 std::memory_order_seq_cst);
         T* q = src.load(std::memory_order_seq_cst);
-        if (q == p) return p;
+        if (q == p || q == nullptr) return q;
         p = q;
       }
     }
@@ -149,6 +161,7 @@ class hp_domain {
 
     hp_domain* d_;
     slot_line* block_;  // this thread's announcement block
+    std::uint32_t tid_;
   };
 
   guard enter(std::uint32_t tid) noexcept {
@@ -163,70 +176,44 @@ class hp_domain {
     auto& r = retired_[tid].get();
     r.items.push_back({p, fn, ctx, 0});
     r.retired.add(1);
-    if (r.items.size() >= scan_threshold_) scan(tid);
+    if (r.next == r.batch.size() && r.items.size() >= scan_threshold_) {
+      begin_batch(tid, r);
+    }
+    drain(r, drain_per_retire);
   }
+  static constexpr std::size_t drain_per_retire = 2;  // see file comment
 
   /// Range retirement (storage/segment_storage): `fn(ctx, base)` runs once
   /// no announcement names any address in [base, base+bytes). Scans
   /// eagerly — a range retirement happens once per SEGMENT of node
   /// retirements, so the O(H + R) pass here is amortized over the segment's
   /// cells and keeps segment turnaround (and therefore the bounded queue's
-  /// live-byte floor) low instead of waiting for the count threshold.
+  /// live-byte floor) low instead of waiting for the count threshold. A
+  /// range it keeps (usually announced by the retiring thread itself) is
+  /// retried at the thread's guard exits until freed: an idle queue retires
+  /// nothing else, and a bounded queue's blocked producer needs the memory.
   void retire_range(std::uint32_t tid, void* base, std::size_t bytes,
                     retire_fn fn, void* ctx) {
     assert(tid < max_threads_);
     assert(bytes > 0);
     auto& r = retired_[tid].get();
     r.items.push_back({base, fn, ctx, bytes});
+    ++r.ranges;
     r.retired.add(1);
     scan(tid);
   }
 
-  /// One reclamation pass for `tid`'s retired list: free everything not
-  /// currently announced by any thread.
+  /// One whole reclamation pass for `tid`'s retired objects (its list and
+  /// what is left of its batch): free everything not currently announced
+  /// by any thread.
   void scan(std::uint32_t tid) {
     auto& r = retired_[tid].get();
-    std::vector<void*>& announced = r.scratch;
-    announced.clear();
-    for (std::uint32_t t = 0; t < max_threads_; ++t) {
-      for (std::uint32_t s = 0; s < slots_per_thread_; ++s) {
-        if (void* p = slot_ref(t, s).load(std::memory_order_seq_cst)) {
-          announced.push_back(p);
-        }
-      }
-    }
-    std::sort(announced.begin(), announced.end());
-    std::size_t kept = 0;
-    std::uint64_t freed_this_pass = 0;
-    for (auto& item : r.items) {
-      // Exact retirements (bytes == 0) hit only their own address; range
-      // retirements hit if any announced pointer falls inside
-      // [p, p + bytes) — one lower_bound either way.
-      const auto it =
-          std::lower_bound(announced.begin(), announced.end(), item.p);
-      const bool announced_hit =
-          item.bytes == 0
-              ? (it != announced.end() && *it == item.p)
-              : (it != announced.end() &&
-                 reinterpret_cast<std::uintptr_t>(*it) <
-                     reinterpret_cast<std::uintptr_t>(item.p) + item.bytes);
-      if (announced_hit) {
-        r.items[kept++] = item;
-      } else {
-        item.fn(item.ctx, item.p);
-        ++freed_this_pass;
-      }
-    }
-    r.items.resize(kept);
-    r.freed.add(freed_this_pass);
-    // The scan is the reclaimer's only super-constant step (O(H + R)); the
-    // trace makes its frequency and yield visible next to the queue events
-    // it interleaves with. Compiled out unless KPQ_TRACE.
-    if constexpr (obs::default_trace::enabled) {
-      obs::default_trace::record(
-          tid, obs::trace_kind::reclaim_scan, 0,
-          static_cast<std::uint32_t>(freed_this_pass));
-    }
+    r.items.insert(r.items.end(),
+                   r.batch.begin() + static_cast<std::ptrdiff_t>(r.next),
+                   r.batch.end());
+    r.next = r.batch.size();
+    begin_batch(tid, r);
+    drain(r, r.batch.size());
   }
 
   // --- observability (tests assert reclamation actually happens) ---
@@ -244,7 +231,9 @@ class hp_domain {
   }
   std::size_t pending_count() const noexcept {
     std::size_t n = 0;
-    for (const auto& r : retired_) n += r->items.size();
+    for (const auto& r : retired_) {
+      n += r->items.size() + (r->batch.size() - r->next);
+    }
     return n;
   }
   std::uint32_t slots_per_thread() const noexcept { return slots_per_thread_; }
@@ -264,11 +253,65 @@ class hp_domain {
     std::size_t bytes;  // 0 = exact-address item; else [p, p+bytes) range
   };
   struct retired_list {
-    std::vector<retired_item> items;
-    std::vector<void*> scratch;  // reused across scans
+    std::vector<retired_item> items;  // retired since the last snapshot
+    std::vector<retired_item> batch;  // being reclaimed against `scratch`
+    std::size_t next = 0;             // batch[next..] not yet reclaimed
+    std::vector<void*> scratch;       // sorted announcement snapshot
+    std::uint32_t ranges = 0;         // range items not yet freed
     owner_counter retired;
     owner_counter freed;
   };
+
+  /// Guard exit: retry the thread's kept ranges (see retire_range).
+  void retry_ranges(std::uint32_t tid) {
+    if (retired_[tid]->ranges != 0) scan(tid);
+  }
+
+  /// Snapshot every announcement slot; the list becomes the batch. The
+  /// snapshot is the reclaimer's only super-constant step (O(H log H)); the
+  /// trace records it with the batch size. Compiled out unless KPQ_TRACE.
+  void begin_batch(std::uint32_t tid, retired_list& r) {
+    r.scratch.clear();
+    for (std::uint32_t t = 0; t < max_threads_; ++t) {
+      for (std::uint32_t s = 0; s < slots_per_thread_; ++s) {
+        if (void* p = slot_ref(t, s).load(std::memory_order_seq_cst)) {
+          r.scratch.push_back(p);
+        }
+      }
+    }
+    std::sort(r.scratch.begin(), r.scratch.end());
+    r.batch.clear();
+    r.next = 0;
+    std::swap(r.items, r.batch);
+    if constexpr (obs::default_trace::enabled) {
+      obs::default_trace::record(tid, obs::trace_kind::reclaim_scan, 0,
+                                 static_cast<std::uint32_t>(r.batch.size()));
+    }
+  }
+
+  /// Reclaim up to `k` objects of the batch. An object is announced if the
+  /// snapshot holds an address in [p, p + max(bytes, 1)) — its own address
+  /// for an exact retirement, any address in the range for a range — one
+  /// lower_bound either way. Announced objects go back to the list.
+  void drain(retired_list& r, std::size_t k) {
+    std::uint64_t freed = 0;
+    for (; k > 0 && r.next < r.batch.size(); --k) {
+      const retired_item& item = r.batch[r.next++];
+      const auto it =
+          std::lower_bound(r.scratch.begin(), r.scratch.end(), item.p);
+      if (it != r.scratch.end() &&
+          reinterpret_cast<std::uintptr_t>(*it) -
+                  reinterpret_cast<std::uintptr_t>(item.p) <
+              std::max<std::size_t>(item.bytes, 1)) {
+        r.items.push_back(item);
+        continue;
+      }
+      if (item.bytes != 0) --r.ranges;
+      item.fn(item.ctx, item.p);
+      ++freed;
+    }
+    r.freed.add(freed);
+  }
 
   slot_line* block(std::uint32_t tid) noexcept {
     return lines_.data() + static_cast<std::size_t>(tid) * lines_per_thread_;

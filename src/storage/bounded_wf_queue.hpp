@@ -4,15 +4,17 @@
 //
 // The ceiling is enforced by ADMISSION, not by a slotted ring: every
 // enqueue first checks the queue's exact live-byte counter (mem_tracker —
-// nodes, descriptors, and segments all flow through it) against
+// segments, payload boxes and the request records all flow through it) against
 // `max_bytes` minus a fixed headroom covering the worst case the already-
 // admitted in-flight operations can still allocate. The bound argument
 // (docs/MEMORY.md §4): any allocation happens inside an operation whose
 // admission read live <= max_bytes - headroom; between any such read and
 // the allocation, each of the n threads has at most one partially-complete
 // operation, and one operation allocates at most
-// per_op = Storage::max_alloc_bytes + desc_slack * sizeof(op_desc<T>)
-// bytes, so live never exceeds (max_bytes - n*per_op) + n*per_op.
+// per_op = Storage::max_alloc_bytes + Inner::box_bytes
+// bytes (its node's storage and, for a T that does not ride inline, its
+// box; helping allocates nothing), so live never exceeds
+// (max_bytes - n*per_op) + n*per_op.
 //
 // Full-queue policies:
 //   * reject           — try_enqueue returns false; enqueue drops. The
@@ -27,7 +29,7 @@
 //   * overwrite_oldest — drop elements from the head until there is room
 //                        (bounded-buffer telemetry semantics). If the queue
 //                        is EMPTY and still over the ceiling (live bytes
-//                        held by not-yet-reclaimed segments/descriptors),
+//                        held by not-yet-reclaimed segments),
 //                        it degrades to reject: the ceiling is never
 //                        exceeded by design, even transiently.
 //
@@ -67,8 +69,8 @@ using wf_queue_fps_seg = wf_queue_fps<T, R, fps_options, segment_storage<T>>;
 enum class full_policy : std::uint8_t { reject, block, overwrite_oldest };
 
 struct bounded_config {
-  /// Ceiling on the queue's total live bytes (nodes + descriptors +
-  /// segments), as counted by its mem_counters. Must be at least
+  /// Ceiling on the queue's total live bytes (segments + payload boxes +
+  /// request records), as counted by its mem_counters. Must be at least
   /// floor_bytes() + headroom_bytes() or the queue can wedge with nothing
   /// in it (the constructor asserts it).
   std::size_t max_bytes;
@@ -77,12 +79,6 @@ struct bounded_config {
   /// notification — reclaimer scans return segment memory asynchronously to
   /// any dequeue, so space can appear with nobody to signal it.
   std::chrono::milliseconds block_recheck{1};
-  /// Headroom slack for descriptor churn, per thread, in descriptors: the
-  /// fresh descriptors one operation (with its helping) can allocate
-  /// between its admission check and its completion. Descriptors parked
-  /// between scans are in the floor instead. docs/MEMORY.md §4 discusses
-  /// the sizing.
-  std::uint32_t desc_slack_per_thread = 8;
 };
 
 /// Counters for the policy outcomes (exported via stats(); the obs registry
@@ -100,10 +96,9 @@ class bounded_wf_queue {
   using value_type = T;
   using inner_type = Inner;
   using storage_type = typename Inner::storage_type;
-  using desc_type = typename Inner::desc_type;
 
   bounded_wf_queue(std::uint32_t max_threads, bounded_config cfg)
-      : cfg_(cfg), headroom_(headroom_bytes(max_threads, cfg)),
+      : cfg_(cfg), headroom_(headroom_bytes(max_threads)),
         q_(max_threads, &mc_) {
     // The ceiling must leave room for at least one admitted enqueue on top
     // of the steady-state floor, or the queue can wedge while empty.
@@ -111,30 +106,22 @@ class bounded_wf_queue {
            "max_bytes below steady-state floor + admission headroom");
   }
 
-  /// Steady-state floor: the construction footprint (the sentinel's
-  /// allocation plus one descriptor per thread in `state`) plus, per
-  /// thread, one hazard-scan batch of descriptors — a thread's retired-but-
-  /// unscanned and cached descriptors together stay within about one batch,
-  /// and draining the queue frees none of them (docs/MEMORY.md §4). Storage
-  /// memory parked beyond the sentinel's (other threads' active segments,
-  /// spare segments) is not included: size ceilings with a few segments
-  /// above floor + headroom.
+  /// Steady-state floor: the construction footprint — the sentinel's
+  /// storage allocation plus the request records, which are never freed
+  /// and never grow (docs/MEMORY.md §4). Storage memory parked beyond the
+  /// sentinel's (other threads' active segments, spare segments) is not
+  /// included: size ceilings with a few segments above floor + headroom.
   static constexpr std::size_t floor_bytes(std::uint32_t max_threads) noexcept {
-    const std::size_t batch =
-        hp_domain::default_scan_threshold(max_threads * Inner::hp_slots);
-    return storage_type::max_alloc_bytes +
-           static_cast<std::size_t>(max_threads) * (1 + batch) *
-               sizeof(desc_type);
+    return storage_type::max_alloc_bytes + Inner::records_bytes(max_threads);
   }
 
   /// Admission headroom: what the operations already past admission can
-  /// still allocate — per thread one storage allocation plus
-  /// `desc_slack_per_thread` fresh descriptors.
+  /// still allocate — per thread one storage allocation plus one payload
+  /// box (zero bytes for a T that rides inline).
   static constexpr std::size_t headroom_bytes(
-      std::uint32_t max_threads, const bounded_config& cfg) noexcept {
+      std::uint32_t max_threads) noexcept {
     return static_cast<std::size_t>(max_threads) *
-           (storage_type::max_alloc_bytes +
-            cfg.desc_slack_per_thread * sizeof(desc_type));
+           (storage_type::max_alloc_bytes + Inner::box_bytes);
   }
 
   bounded_wf_queue(const bounded_wf_queue&) = delete;
@@ -163,7 +150,7 @@ class bounded_wf_queue {
         while (!has_room()) {
           if (!q_.dequeue(tid).has_value()) {
             // Empty yet over the ceiling: the remaining live bytes are
-            // segments/descriptors awaiting reclamation. Never exceed the
+            // segments awaiting reclamation. Never exceed the
             // ceiling — degrade to reject.
             count(&bounded_counters::rejected, tid);
             return false;

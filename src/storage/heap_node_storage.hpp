@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/op_desc.hpp"
+#include "core/node.hpp"
 #include "harness/mem_tracker.hpp"
 
 namespace kpq {
@@ -30,10 +30,10 @@ class heap_node_storage {
   heap_node_storage& operator=(const heap_node_storage&) = delete;
 
   template <typename R>
-  node_type* alloc(std::uint32_t /*tid*/, T v, std::int32_t etid,
-                   R& /*reclaim*/) {
+  node_type* alloc(std::uint32_t /*tid*/, typename node_type::slot_type v,
+                   std::int32_t etid, R& /*reclaim*/) {
     acct_->account_alloc(sizeof(node_type));
-    return new node_type(std::move(v), etid);
+    return new node_type(v, etid);
   }
 
   /// Unlinked but possibly still referenced: per-node retirement, the

@@ -31,10 +31,9 @@
 //   destroyed or reused while a stale reader might still validate against
 //   them — the same guarantee per-node delete had, at 1/cells_per_segment
 //   the reclamation traffic. Node destructors run when the segment is
-//   reclaimed, not when the cell is logically dequeued (payloads must
-//   tolerate deferred destruction, which trivially they do for the
-//   value types a concurrent queue carries; the T is copied OUT of the node
-//   into the descriptor at dequeue time, see op_desc).
+//   reclaimed, not when the cell is logically dequeued; they are trivial,
+//   because a node holds either a trivially copyable T or a `T*` box whose
+//   ownership the dequeue takes (core/node.hpp).
 //
 //   Reclaimed segments are recycled through a per-thread spare slot (the
 //   YMC `handle->spare` idea): the reclaim callback parks the (cell-
@@ -60,7 +59,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/op_desc.hpp"
+#include "core/node.hpp"
 #include "harness/mem_tracker.hpp"
 #include "sync/cacheline.hpp"
 
@@ -146,13 +145,14 @@ class segment_storage {
   // ------------------------------------------------------------------ alloc
 
   template <typename R>
-  node_type* alloc(std::uint32_t tid, T v, std::int32_t etid, R& reclaim) {
+  node_type* alloc(std::uint32_t tid, typename node_type::slot_type v,
+                   std::int32_t etid, R& reclaim) {
     segment* s = active_[tid].get();
     if (s == nullptr || s->allocated == cells_per_segment) {
       s = open_segment(tid, s, reclaim);
     }
     node_type* n =
-        new (&s->cells[s->allocated].raw) node_type(std::move(v), etid);
+        new (&s->cells[s->allocated].raw) node_type(v, etid);
     ++s->allocated;
     return n;
   }

@@ -27,8 +27,9 @@
 // mem_counters sink; storage must route every byte it allocates/frees
 // through it so fig10's live-byte counter is exact).
 //
-//   node_type* n = s.alloc(tid, value, etid, reclaimer);
-//       // construct a node; `reclaimer` is the container's domain — segment
+//   node_type* n = s.alloc(tid, slot, etid, reclaimer);
+//       // construct a node holding `slot` (the value or its box,
+//       // core/node.hpp); `reclaimer` is the container's domain — segment
 //       // storage retires a just-sealed segment through it when the seal
 //       // completes the segment (see segment_storage.hpp).
 //   s.retire(tid, n, reclaimer);
@@ -54,7 +55,7 @@
 #include <cstdint>
 #include <utility>
 
-#include "core/op_desc.hpp"
+#include "core/node.hpp"
 #include "reclaim/reclaimer_concepts.hpp"
 
 namespace kpq {
@@ -64,11 +65,11 @@ namespace kpq {
 template <typename S, typename R>
 concept node_storage_for =
     reclaimer_domain<R> &&
-    requires(S s, std::uint32_t tid, typename S::value_type v,
+    requires(S s, std::uint32_t tid, typename S::node_type::slot_type v,
              std::int32_t etid, typename S::node_type* n, R& r) {
       typename S::value_type;
       typename S::node_type;
-      { s.alloc(tid, std::move(v), etid, r) } ->
+      { s.alloc(tid, v, etid, r) } ->
           std::same_as<typename S::node_type*>;
       { s.retire(tid, n, r) };
       { s.release(n) };

@@ -13,11 +13,9 @@
 //   I4  the sentinel is the only node whose deq_tid MAY be set (a set
 //       deq_tid on an interior node would mean a dequeue linearized but
 //       never finished — impossible at quiescence);
-//   I5  no descriptor in `state` is pending;
-//   I6  every completed-enqueue descriptor's node is either null or not
-//       reachable *ahead* of the sentinel in a way that would imply a
-//       pending insertion (its node must already be linked, i.e. reachable
-//       or retired, never "floating").
+//   I5  no request record in `state` is pending;
+//   I6  no enqueue's node is "floating" (implied by I5: a record stops
+//       pending only after its node is linked).
 //
 // The auditor is deliberately read-only and header-only; it uses only the
 // queue's public quiescent surface plus the shared testing::whitebox
@@ -51,11 +49,11 @@ struct audit_result {
 /// Whitebox-view inputs collected by the test (which has friend access);
 /// keeping the auditor independent of the queue template avoids a second
 /// friend declaration.
-template <typename Node, typename Desc>
+template <typename Node>
 struct audit_view {
   Node* head = nullptr;
   Node* tail = nullptr;
-  std::vector<Desc*> state;  // one per thread slot
+  std::vector<bool> pending;  // one per thread's request record
   std::uint32_t max_threads = 0;
   /// A wf_queue with a fast path (wf_queue_fps) marks fast-path nodes with
   /// enq_tid == -1; set this for its audits so I3 accepts anonymous
@@ -63,8 +61,8 @@ struct audit_view {
   bool allow_anonymous_enqueuers = false;
 };
 
-template <typename Node, typename Desc>
-audit_result audit_quiescent(const audit_view<Node, Desc>& v) {
+template <typename Node>
+audit_result audit_quiescent(const audit_view<Node>& v) {
   audit_result r;
   if (v.head == nullptr || v.tail == nullptr) {
     r.fail("I1: null head or tail");
@@ -112,14 +110,9 @@ audit_result audit_quiescent(const audit_view<Node, Desc>& v) {
     r.fail("I2: dangling node present at quiescence (unfinished enqueue)");
   }
 
-  // I5 + I6 over the state array.
-  for (std::uint32_t i = 0; i < v.state.size(); ++i) {
-    const Desc* d = v.state[i];
-    if (d == nullptr) {
-      r.fail("I5: null descriptor for thread " + std::to_string(i));
-      continue;
-    }
-    if (d->pending) {
+  // I5 (and with it I6) over the request records.
+  for (std::uint32_t i = 0; i < v.pending.size(); ++i) {
+    if (v.pending[i]) {
       r.fail("I5: thread " + std::to_string(i) +
              " still pending at quiescence");
     }

@@ -5,7 +5,7 @@
 // targets the path INTERPLAY: fast/slow races, helping across paths, the
 // progress of a stalled slow-path announce, and the fast path's step bound.
 // A stalled owner is simulated with the white-box driver: it publishes a
-// pending descriptor for a thread id no thread runs, exactly the state a
+// pending request for a thread id no thread runs, exactly the state a
 // thread leaves behind when it stops right after its announce.
 #include <gtest/gtest.h>
 
@@ -155,15 +155,15 @@ TEST(FpsProgress, PeersCompleteAStalledSlowDequeue) {
                     /*enq=*/false, nullptr);
 
   // Peer operations must execute the stalled dequeue; its result lands in
-  // the owner's descriptor, and the peer's own dequeues see later elements.
+  // the owner's record, and the peer's own dequeues see later elements.
   std::vector<std::uint64_t> peer_got;
   for (int i = 0; i < 4; ++i) {
     if (auto v = q.dequeue(1)) peer_got.push_back(*v);
   }
   ASSERT_FALSE(whitebox::pending(q, 0, 1)) << "stalled dequeue never helped";
-  const auto* d = whitebox::state(q, 0);
-  ASSERT_NE(d->node, nullptr) << "stalled dequeue linearized as empty";
-  EXPECT_EQ(d->value, 5u) << "stalled dequeue must receive the front element";
+  const auto d = whitebox::state(q, 0);
+  ASSERT_TRUE(d.has_value) << "stalled dequeue linearized as empty";
+  EXPECT_EQ(d.value, 5u) << "stalled dequeue must receive the front element";
   ASSERT_EQ(peer_got.size(), 1u);
   EXPECT_EQ(peer_got[0], 6u);
 }
@@ -290,9 +290,9 @@ std::vector<std::uint64_t> g_stalled_deq_got;
 
 void collect_stalled_dequeue(counted_queue& q) {
   if (!g_stalled_deq_outstanding || whitebox::pending(q, 0, 0)) return;
-  const auto* d = whitebox::state(q, 0);
-  ASSERT_NE(d->node, nullptr) << "stalled dequeue linearized as empty";
-  g_stalled_deq_got.push_back(d->value);
+  const auto d = whitebox::state(q, 0);
+  ASSERT_TRUE(d.has_value) << "stalled dequeue linearized as empty";
+  g_stalled_deq_got.push_back(d.value);
   g_stalled_deq_outstanding = false;
 }
 
@@ -374,7 +374,7 @@ TEST(FpsStepBound, UncontendedOperationsTakeOneAttemptEach) {
   EXPECT_EQ(c.fast_enqs, c.enq_ops);
   EXPECT_EQ(c.fast_deqs, c.deq_ops);
   EXPECT_EQ(c.empty_deqs, kOps);
-  EXPECT_FALSE(whitebox::state(q, 1)->pending);
+  EXPECT_FALSE(whitebox::state(q, 1).pending);
 }
 
 TEST(FpsProgress, ConcurrentPeersKeepCompletingAStalledOwner) {
@@ -421,6 +421,96 @@ TEST(FpsProgress, ConcurrentPeersKeepCompletingAStalledOwner) {
   std::vector<std::uint64_t> all;
   for (const auto& g : got) all.insert(all.end(), g.begin(), g.end());
   expect_each_value_once(all, {stalled_published, kPairs, kPairs});
+}
+
+// ------------------------------------------------------ real-thread fallback
+
+thread_local std::uint32_t t_op_attempts = 0;
+struct fallback_hooks : no_hooks {
+  static void on_fast_attempt(std::uint32_t /*tid*/, bool /*is_enq*/) {
+    ++t_op_attempts;
+  }
+};
+struct fallback_options : fps_options {
+  using hooks = fallback_hooks;
+  static constexpr bool collect_stats = true;
+  static constexpr std::uint32_t max_tries = 1;
+};
+
+/// hp_domain whose guard yields right after it protects head or tail: an
+/// injected delay inside every fast attempt, between the read of tail (or
+/// head) and the CAS that depends on it. Another thread's operation can
+/// land there even on one CPU, where threads interleave only at yields.
+struct yielding_hp : hp_domain {
+  using hp_domain::hp_domain;
+  struct guard {
+    hp_domain::guard g;
+    template <typename T>
+    T* protect(std::uint32_t slot, const std::atomic<T*>& src) noexcept {
+      T* p = g.protect(slot, src);
+      if (slot == 0 || slot == 1) std::this_thread::yield();  // s_first/last
+      return p;
+    }
+    template <typename T>
+    void protect_raw(std::uint32_t slot, T* p) noexcept {
+      g.protect_raw(slot, p);
+    }
+    void clear(std::uint32_t slot) noexcept { g.clear(slot); }
+  };
+  guard enter(std::uint32_t tid) noexcept {
+    return guard{hp_domain::enter(tid)};
+  }
+};
+
+TEST(FpsFallback, ContendedRealThreadsFallBackToTheSlowPath) {
+  // Two real threads run enqueue/dequeue pairs on one queue with a
+  // one-attempt fast path while every head/tail protection yields (above):
+  // a fast attempt that another thread's operation overtakes falls back to
+  // announcing. No white-box help. Rounds repeat (at most 20) until both
+  // fallbacks were seen; every round checks the per-operation step bound
+  // and that each value comes out exactly once.
+  using Q = wf_queue_fps<std::uint64_t, yielding_hp, fallback_options>;
+  static_assert(Q::s_first == 0 && Q::s_last == 1);
+  constexpr std::uint32_t kThreads = 2;
+  constexpr std::uint64_t kPairs = 2000;
+  constexpr std::uint32_t kMax = fallback_options::max_tries;
+  wf_counters total;
+  std::array<std::uint64_t, kThreads> over_budget{};
+  int rounds = 0;
+  while (rounds < 20 && !(total.fast_enqs < total.enq_ops &&
+                          total.fast_deqs < total.deq_ops)) {
+    ++rounds;
+    Q q(kThreads);
+    std::array<std::vector<std::uint64_t>, kThreads> got;
+    const auto worker = [&](std::uint32_t tid) {
+      const auto bounded = [&](auto&& op) {
+        t_op_attempts = 0;
+        op();
+        if (t_op_attempts > kMax) ++over_budget[tid];
+      };
+      for (std::uint64_t i = 0; i < kPairs; ++i) {
+        bounded([&] { q.enqueue(encode_value(tid, i), tid); });
+        bounded([&] {
+          if (auto v = q.dequeue(tid)) got[tid].push_back(*v);
+        });
+      }
+    };
+    std::thread other(worker, 1);
+    worker(0);
+    other.join();
+    while (auto v = q.dequeue(0)) got[0].push_back(*v);
+    std::vector<std::uint64_t> all;
+    for (const auto& g : got) all.insert(all.end(), g.begin(), g.end());
+    expect_each_value_once(all, std::vector<std::uint64_t>(kThreads, kPairs));
+    total += q.aggregate_counters();
+  }
+  for (std::uint32_t tid = 0; tid < kThreads; ++tid) {
+    EXPECT_EQ(over_budget[tid], 0u) << "an operation exceeded max_tries";
+  }
+  EXPECT_LT(total.fast_enqs, total.enq_ops)
+      << "no enqueue fell back in " << rounds << " rounds";
+  EXPECT_LT(total.fast_deqs, total.deq_ops)
+      << "no dequeue fell back in " << rounds << " rounds";
 }
 
 TEST(FpsMemory, BalanceClosesExactly) {

@@ -1,5 +1,5 @@
 // Isolated unit tests for the core policy objects: phase assignment
-// (doorway property), helping candidate selection, and the descriptor cache.
+// (doorway property) and helping candidate selection.
 // The help policies are exercised against a mock queue that records which
 // entries they inspect, so candidate-selection logic is pinned independently
 // of queue behaviour.
@@ -12,7 +12,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "core/desc_pool.hpp"
 #include "core/help_policy.hpp"
 #include "core/phase_policy.hpp"
 #include "core/wf_queue.hpp"
@@ -194,132 +193,14 @@ TEST(ScanMaxPhase, ReturnsOneAboveTheMaximumInState) {
   scan_max_phase p(4);
   hp_domain dom(1, 5);
   auto g = dom.enter(0);
-  // Fresh queue: all descriptors carry phase -1, so the first phase is 0.
+  // Fresh queue: all records carry phase -1, so the first phase is 0.
   EXPECT_EQ(p.next_phase(q, g, 0), 0);
-  q.enqueue(1, 2);  // thread 2's descriptor now carries phase 0
+  q.enqueue(1, 2);  // thread 2's record now carries phase 0
   EXPECT_EQ(p.next_phase(q, g, 0), 1);
   q.enqueue(2, 1);
   EXPECT_EQ(p.next_phase(q, g, 0), 2);
   (void)q.dequeue(3);
   EXPECT_EQ(p.next_phase(q, g, 0), 3);
-}
-
-// ---------------------------------------------------------------- desc_pool
-
-TEST(DescPool, RecycleReusesTheSameAllocation) {
-  desc_pool<std::uint64_t> pool(2, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  pool.recycle(0, a);
-  EXPECT_EQ(pool.cached(0), 1u);
-  auto* b = pool.make(0, std::int64_t{2}, false, false, nullptr);
-  EXPECT_EQ(b, a) << "cache must hand back the recycled allocation";
-  EXPECT_EQ(b->phase, 2);
-  EXPECT_FALSE(b->pending);
-  pool.recycle(0, b);
-}
-
-TEST(DescPool, CacheIsPerThread) {
-  desc_pool<std::uint64_t> pool(2, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  pool.recycle(0, a);
-  EXPECT_EQ(pool.cached(0), 1u);
-  EXPECT_EQ(pool.cached(1), 0u);
-  // Thread 1's make must not steal thread 0's cache.
-  auto* b = pool.make(1, std::int64_t{2}, true, true, nullptr);
-  EXPECT_NE(b, a);
-  EXPECT_EQ(pool.cached(0), 1u);
-  pool.recycle(1, b);
-}
-
-TEST(DescPool, CapBoundsTheCache) {
-  desc_pool<std::uint64_t> pool(1, nullptr, /*cache_cap=*/2);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  auto* b = pool.make(0, std::int64_t{2}, true, true, nullptr);
-  auto* c = pool.make(0, std::int64_t{3}, true, true, nullptr);
-  pool.recycle(0, a);
-  pool.recycle(0, b);
-  pool.recycle(0, c);  // over cap: deleted
-  EXPECT_EQ(pool.cached(0), 2u);
-}
-
-TEST(DescPool, AccountingTracksFreshAllocationsOnly) {
-  class probe : public mem_tracked {};
-  probe acct;
-  mem_counters mc;
-  acct.set_memory_counters(&mc);
-  desc_pool<std::uint64_t> pool(1, &acct);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  EXPECT_EQ(mc.live_objects(), 1);
-  pool.recycle(0, a);
-  EXPECT_EQ(mc.live_objects(), 1) << "cached descriptors stay live";
-  auto* b = pool.make(0, std::int64_t{2}, true, true, nullptr);
-  EXPECT_EQ(mc.live_objects(), 1) << "reuse is not a fresh allocation";
-  pool.recycle(0, b);
-  pool.purge();
-  EXPECT_EQ(mc.live_objects(), 0);
-}
-
-// The reclaimer's callback: an unreachable published descriptor goes back
-// to the RETIRING thread's list (the context), up to the cap; the spill is
-// freed and accounted as a free.
-TEST(DescPool, ReclaimCallbackFillsRetiringThreadsCacheUpToCap) {
-  class probe : public mem_tracked {};
-  probe acct;
-  mem_counters mc;
-  acct.set_memory_counters(&mc);
-  desc_pool<std::uint64_t> pool(2, &acct, /*cache_cap=*/2);
-  using pool_t = desc_pool<std::uint64_t>;
-  std::vector<pool_t::desc_type*> ds;
-  for (int i = 0; i < 3; ++i) {
-    ds.push_back(pool.make(0, std::int64_t{i}, true, true, nullptr));
-  }
-  EXPECT_EQ(mc.live_objects(), 3);
-  for (auto* d : ds) pool_t::reclaim_fn(pool.retire_ctx(1), d);
-  EXPECT_EQ(pool.cached(1), 2u);
-  EXPECT_EQ(pool.cached(0), 0u) << "reclaimed into the retiring thread";
-  EXPECT_EQ(mc.live_objects(), 2) << "the spill is a free";
-  EXPECT_EQ(mc.live_bytes(),
-            static_cast<std::int64_t>(2 * sizeof(pool_t::desc_type)));
-  auto* reused = pool.make(1, std::int64_t{7}, false, false, nullptr);
-  EXPECT_TRUE(reused == ds[0] || reused == ds[1]);
-  EXPECT_EQ(reused->phase, 7);
-  EXPECT_EQ(pool.fresh_allocs(), 3u);
-  pool.recycle(1, reused);
-  pool.purge();
-  EXPECT_EQ(mc.live_objects(), 0);
-}
-
-// Through a real hazard domain: the scan skips an announced descriptor and
-// hands every other one to the pool.
-TEST(DescPool, HazardScanRecyclesOnlyUnannouncedDescriptors) {
-  desc_pool<std::uint64_t> pool(2, nullptr);
-  hp_domain dom(2, 1, /*scan_threshold=*/1000);
-  auto* pinned = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  auto* loose = pool.make(0, std::int64_t{2}, true, true, nullptr);
-  auto g = dom.enter(1);
-  g.protect_raw(0, pinned);
-  for (auto* d : {pinned, loose}) {
-    dom.retire(0, d, &desc_pool<std::uint64_t>::reclaim_fn,
-               pool.retire_ctx(0));
-  }
-  dom.scan(0);
-  EXPECT_EQ(pool.cached(0), 1u);
-  EXPECT_EQ(pool.make(0, std::int64_t{3}, true, true, nullptr), loose);
-  g.clear(0);
-  dom.scan(0);
-  EXPECT_EQ(pool.make(0, std::int64_t{4}, true, true, nullptr), pinned);
-  pool.recycle(0, loose);
-  pool.recycle(0, pinned);
-}
-
-TEST(DescPool, FreshAllocCounterGrowsOnlyOnMisses) {
-  desc_pool<std::uint64_t> pool(1, nullptr);
-  auto* a = pool.make(0, std::int64_t{1}, true, true, nullptr);
-  EXPECT_EQ(pool.fresh_allocs(), 1u);
-  pool.recycle(0, a);
-  auto* b = pool.make(0, std::int64_t{2}, true, true, nullptr);
-  EXPECT_EQ(pool.fresh_allocs(), 1u);
-  pool.recycle(0, b);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Deterministic replays of the paper's operation walk-throughs.
 //
-// Figure 3 shows the enqueue flow (thread 3 enqueues 400): descriptor
-// published (3b), node linked behind the last element (3c), pending flag
-// cleared (3d), tail fixed (3e). Figure 5 shows the dequeue flow (thread 1
-// dequeues after Figure 3): state points at the sentinel (5b), the
-// sentinel's deqTid is claimed (5c), pending cleared (5d), head fixed and
-// the value returned (5e).
+// Figure 3 shows the enqueue flow (thread 3 enqueues 400): operation
+// published in the request record (3b), node linked behind the last
+// element (3c), pending flag cleared (3d), tail fixed (3e). Figure 5 shows
+// the dequeue flow (thread 1 dequeues after Figure 3): state points at the
+// sentinel (5b), the sentinel's deqTid is claimed (5c), pending cleared
+// (5d), head fixed and the value returned (5e).
 //
 // These tests drive the private helper methods one paper-step at a time via
 // the whitebox friend and assert the exact intermediate structure shown in
@@ -39,17 +39,17 @@ queue* make_fig3a_queue() {
 TEST(Figure3Enqueue, StepByStep) {
   auto* q = make_fig3a_queue();
 
-  // -- Figure 3b: thread 3 chooses a phase and publishes its descriptor
+  // -- Figure 3b: thread 3 chooses a phase and publishes its operation
   //    (paper lines 62-63). Nothing in the list changes yet.
   const std::int64_t phase = wb::next_phase(*q, 3);
   auto* node400 = wb::make_node(*q, 400, 3);
   wb::publish(*q, 3, phase, /*pending=*/true, /*enq=*/true, node400);
 
-  auto* d3 = wb::state(*q, 3);
-  EXPECT_TRUE(d3->pending);
-  EXPECT_TRUE(d3->enqueue);
-  EXPECT_EQ(d3->phase, phase);
-  EXPECT_EQ(d3->node, node400);
+  auto d3 = wb::state(*q, 3);
+  EXPECT_TRUE(d3.pending);
+  EXPECT_TRUE(d3.enqueue);
+  EXPECT_EQ(d3.phase, phase);
+  EXPECT_EQ(d3.node, node400);
   EXPECT_EQ(q->unsafe_size(), 3u);
 
   // -- Figure 3c: the next reference of the last element is swung to the
@@ -59,7 +59,7 @@ TEST(Figure3Enqueue, StepByStep) {
   auto* expected = static_cast<queue::node_type*>(nullptr);
   ASSERT_TRUE(last->next.compare_exchange_strong(expected, node400));
   EXPECT_EQ(wb::tail(*q), last) << "tail must not move in step (1)";
-  EXPECT_TRUE(wb::state(*q, 3)->pending) << "pending clears only in step (2)";
+  EXPECT_TRUE(wb::state(*q, 3).pending) << "pending clears only in step (2)";
   EXPECT_EQ(q->unsafe_size(), 4u) << "value 400 is linearized as of step (1)";
 
   // -- Figures 3d + 3e: help_finish_enq clears the pending flag (line 93)
@@ -67,9 +67,9 @@ TEST(Figure3Enqueue, StepByStep) {
   //    (tid 2), as the helping scheme allows.
   wb::help_finish_enq(*q, 2);
   d3 = wb::state(*q, 3);
-  EXPECT_FALSE(d3->pending);                // Figure 3d
-  EXPECT_TRUE(d3->enqueue);
-  EXPECT_EQ(d3->node, node400);
+  EXPECT_FALSE(d3.pending);                // Figure 3d
+  EXPECT_TRUE(d3.enqueue);
+  EXPECT_EQ(d3.node, node400);
   EXPECT_EQ(wb::tail(*q), node400);         // Figure 3e
   EXPECT_EQ(wb::tail(*q)->enq_tid, 3);
 
@@ -92,7 +92,7 @@ TEST(Figure3Enqueue, AbandonedAfterPublishIsCompletedByHelpEnq) {
 
   wb::help_enq(*q, 3, phase, /*helper=*/1);
 
-  EXPECT_FALSE(wb::state(*q, 3)->pending);
+  EXPECT_FALSE(wb::state(*q, 3).pending);
   EXPECT_EQ(wb::tail(*q), node400);
   EXPECT_EQ(q->unsafe_size(), 4u);
   delete q;
@@ -113,7 +113,7 @@ TEST(Figure3Enqueue, AbandonedAfterLinkIsCompletedByAnyOperation) {
   // A regular enqueue by thread 0 — the public API, no whitebox help.
   q->enqueue(500, 0);
 
-  EXPECT_FALSE(wb::state(*q, 3)->pending)
+  EXPECT_FALSE(wb::state(*q, 3).pending)
       << "dangling enqueue not finished by the next operation";
   EXPECT_EQ(q->unsafe_size(), 5u);
   // FIFO: 100, 200, 300, 400 (thread 3's), 500.
@@ -128,13 +128,13 @@ TEST(Figure5Dequeue, StepByStep) {
   auto* q = make_fig3a_queue();
   q->enqueue(400, 3);
 
-  // -- Figure 5a: thread 1 publishes a pending dequeue descriptor with a
+  // -- Figure 5a: thread 1 publishes a pending dequeue record with a
   //    null node reference (paper lines 99-100).
   const std::int64_t phase = wb::next_phase(*q, 1);
   wb::publish(*q, 1, phase, /*pending=*/true, /*enq=*/false, nullptr);
-  EXPECT_TRUE(wb::state(*q, 1)->pending);
-  EXPECT_FALSE(wb::state(*q, 1)->enqueue);
-  EXPECT_EQ(wb::state(*q, 1)->node, nullptr);
+  EXPECT_TRUE(wb::state(*q, 1).pending);
+  EXPECT_FALSE(wb::state(*q, 1).enqueue);
+  EXPECT_EQ(wb::state(*q, 1).node, nullptr);
 
   // -- Figures 5b + 5c: help_deq performs stage (0) — point thread 1's
   //    state at the first (dummy) node (line 131) — and stage (1) — write
@@ -147,12 +147,13 @@ TEST(Figure5Dequeue, StepByStep) {
   wb::help_deq(*q, 1, phase, /*helper=*/2);
 
   // After help_deq returns the whole operation is done (5d + 5e):
-  auto* d1 = wb::state(*q, 1);
-  EXPECT_FALSE(d1->pending);                    // Figure 5d
-  EXPECT_EQ(d1->node, dummy) << "state must reference the old sentinel";
+  auto d1 = wb::state(*q, 1);
+  EXPECT_FALSE(d1.pending);                    // Figure 5d
+  EXPECT_TRUE(d1.has_value)
+      << "the completing CAS swaps the sentinel for the value";
   EXPECT_EQ(dummy->deq_tid.load(), 1);          // Figure 5c happened
   EXPECT_NE(wb::head(*q), dummy);               // Figure 5e: head fixed
-  EXPECT_EQ(d1->value, 100u) << "first real value captured in descriptor";
+  EXPECT_EQ(d1.value, 100u) << "first real value captured in the record";
 
   // Remaining content: 200, 300, 400.
   for (std::uint64_t v : {200u, 300u, 400u}) {
@@ -172,22 +173,22 @@ TEST(Figure5Dequeue, ManualStagesMatchSubfigures) {
 
   // Figure 5b: stage (0) — point state[1] at the dummy, still pending.
   wb::publish(*q, 1, phase, true, false, dummy);
-  EXPECT_TRUE(wb::state(*q, 1)->pending);
-  EXPECT_EQ(wb::state(*q, 1)->node, dummy);
+  EXPECT_TRUE(wb::state(*q, 1).pending);
+  EXPECT_EQ(wb::state(*q, 1).node, dummy);
   EXPECT_EQ(dummy->deq_tid.load(), no_tid);
   EXPECT_EQ(wb::head(*q), dummy) << "head untouched until stage (3)";
 
   // Figure 5c: stage (1) — claim the dummy's deqTid (the linearization).
   std::int32_t expected = no_tid;
   ASSERT_TRUE(dummy->deq_tid.compare_exchange_strong(expected, 1));
-  EXPECT_TRUE(wb::state(*q, 1)->pending) << "pending clears in stage (2)";
+  EXPECT_TRUE(wb::state(*q, 1).pending) << "pending clears in stage (2)";
   EXPECT_EQ(wb::head(*q), dummy) << "head moves in stage (3)";
 
   // Figures 5d + 5e: a helper finishes stages (2)-(3).
   wb::help_finish_deq(*q, 3);
-  EXPECT_FALSE(wb::state(*q, 1)->pending);      // 5d
+  EXPECT_FALSE(wb::state(*q, 1).pending);      // 5d
   EXPECT_NE(wb::head(*q), dummy);               // 5e
-  EXPECT_EQ(wb::state(*q, 1)->value, 100u);
+  EXPECT_EQ(wb::state(*q, 1).value, 100u);
   EXPECT_EQ(q->unsafe_size(), 2u);
   delete q;
 }
@@ -205,8 +206,8 @@ TEST(Figure5Dequeue, AbandonedAfterClaimIsCompletedByAnyOperation) {
   // Another thread dequeues through the public API: it must first complete
   // thread 1's claimed dequeue (getting it 100), then its own (getting 200).
   EXPECT_EQ(q->dequeue(2), std::optional<std::uint64_t>(200));
-  EXPECT_FALSE(wb::state(*q, 1)->pending);
-  EXPECT_EQ(wb::state(*q, 1)->value, 100u);
+  EXPECT_FALSE(wb::state(*q, 1).pending);
+  EXPECT_EQ(wb::state(*q, 1).value, 100u);
   EXPECT_EQ(q->unsafe_size(), 1u);
   delete q;
 }
@@ -221,9 +222,10 @@ TEST(EmptyDequeue, HelperMarksEmptyInState) {
 
   wb::help_deq(q, 1, phase, /*helper=*/0);
 
-  auto* d1 = wb::state(q, 1);
-  EXPECT_FALSE(d1->pending);
-  EXPECT_EQ(d1->node, nullptr) << "null node encodes the empty result";
+  auto d1 = wb::state(q, 1);
+  EXPECT_FALSE(d1.pending);
+  EXPECT_FALSE(d1.has_value) << "no value encodes the empty result";
+  EXPECT_EQ(d1.node, nullptr);
 }
 
 TEST(PhaseOrdering, OlderOperationsAreHelpedFirst) {
@@ -241,14 +243,14 @@ TEST(PhaseOrdering, OlderOperationsAreHelpedFirst) {
   // Helper bound = ph1: completes thread 1's op, must leave thread 2's
   // pending (phase filter, paper line 39 / 59).
   wb::help_deq(q, 1, ph1, /*helper=*/3);
-  EXPECT_FALSE(wb::state(q, 1)->pending);
-  EXPECT_TRUE(wb::state(q, 2)->pending);
-  EXPECT_EQ(wb::state(q, 1)->value, 100u);
+  EXPECT_FALSE(wb::state(q, 1).pending);
+  EXPECT_TRUE(wb::state(q, 2).pending);
+  EXPECT_EQ(wb::state(q, 1).value, 100u);
 
   // Now complete thread 2's as well.
   wb::help_deq(q, 2, ph2, /*helper=*/3);
-  EXPECT_FALSE(wb::state(q, 2)->pending);
-  EXPECT_EQ(wb::state(q, 2)->value, 200u);
+  EXPECT_FALSE(wb::state(q, 2).pending);
+  EXPECT_EQ(wb::state(q, 2).value, 200u);
   EXPECT_EQ(q.unsafe_size(), 0u);
 }
 

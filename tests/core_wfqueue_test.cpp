@@ -199,7 +199,7 @@ TEST(WfQueueMemory, LiveBytesBalanceExactly) {
       ASSERT_TRUE(q.dequeue(1).has_value());
     }
     // All 200 nodes dequeued; live node memory is the sentinel plus nodes
-    // still sitting in the reclaimer's retired lists, plus descriptors.
+    // still sitting in the reclaimer's retired lists, plus the record array.
     EXPECT_GE(mc.live_objects(), 1);
   }
   // Counters were attached at construction: the balance sheet must close.
@@ -218,89 +218,57 @@ TEST(WfQueueMemory, ReclaimerActuallyFrees) {
       << "hazard-pointer domain never reclaimed anything";
 }
 
-TEST(WfQueueDescCache, FailedInstallsAreRecycled) {
-  // Sequential run: every descriptor install succeeds, so the cache stays
-  // small; this test just pins the API behaviour.
-  wf_queue_base<std::uint64_t> q(1);
-  for (std::uint64_t i = 0; i < 100; ++i) {
+// Request records replace descriptors: a thread's record moves in place,
+// one sequence number per transition, and only nodes are ever retired.
+
+TEST(WfQueueRecords, SteadyStateRetiresOnlyNodes) {
+  // One enqueue/dequeue pair retires exactly one node (the old sentinel)
+  // and nothing else: 0.5 retirements per operation.
+  wf_queue_opt<std::uint64_t> q(2);
+  const std::uint64_t retired0 = q.reclaimer().retired_count();
+  constexpr std::uint64_t kPairs = 2000;
+  for (std::uint64_t i = 0; i < kPairs; ++i) {
     q.enqueue(i, 0);
-    ASSERT_TRUE(q.dequeue(0).has_value());
+    ASSERT_EQ(q.dequeue(0), std::optional<std::uint64_t>(i));
   }
-  SUCCEED();
+  EXPECT_EQ(q.reclaimer().retired_count() - retired0, kPairs);
 }
 
-// Reclaimed descriptors go back to the retiring thread's pool: once warm,
-// a single thread's enqueue/dequeue pairs draw every descriptor from its
-// cache.
-template <typename Q>
-std::uint64_t fresh_descs_after_warmup(std::uint64_t pairs) {
+TEST(WfQueueRecords, EveryTransitionBumpsTheSequence) {
+  // Uncontended, an announced enqueue moves its record twice (publish,
+  // complete) and a dequeue three times (publish, stage 0, complete); an
+  // empty dequeue twice (publish, complete-empty).
+  using Q = wf_queue_base<std::uint64_t>;
+  using testing::whitebox;
   Q q(2);
-  const std::uint64_t batch = q.reclaimer().scan_threshold();
-  for (std::uint64_t i = 0; i < 8 * batch; ++i) {
-    q.enqueue(i, 0);
-    EXPECT_TRUE(q.dequeue(0).has_value());
-  }
-  const std::uint64_t warm = q.descriptor_pool().fresh_allocs();
-  for (std::uint64_t i = 0; i < pairs; ++i) {
-    q.enqueue(i, 0);
-    EXPECT_TRUE(q.dequeue(0).has_value());
-    EXPECT_LE(q.descriptor_pool().cached(0), q.descriptor_pool().cache_cap());
-  }
-  return q.descriptor_pool().fresh_allocs() - warm;
-}
-
-TEST(WfQueueDescCache, SteadyStateReusesReclaimedDescriptors) {
-  EXPECT_EQ(fresh_descs_after_warmup<wf_queue_opt<std::uint64_t>>(2000), 0u);
-  EXPECT_EQ(fresh_descs_after_warmup<wf_queue_base<std::uint64_t>>(2000), 0u);
-}
-
-// Hazard safety of the reuse: while thread 1 announces thread 0's current
-// descriptor, no descriptor thread 0 installs may reuse that address — not
-// across several scans, which reclaim (and recycle) everything else.
-template <typename Q>
-void expect_announced_descriptor_never_reused() {
-  Q q(2);
+  const auto seq = [&q] { return whitebox::state(q, 0).ctl / req::seq_step; };
+  std::uint64_t before = seq();
   q.enqueue(1, 0);
-  ASSERT_TRUE(q.dequeue(0).has_value());
-  auto* pinned = testing::whitebox::state(q, 0);
-  auto g = q.reclaimer().enter(1);
-  g.protect_raw(Q::s_desc, pinned);
-  const std::uint64_t batch = q.reclaimer().scan_threshold();
-  const std::uint64_t freed0 = q.reclaimer().freed_count();
-  for (std::uint64_t i = 0; i < 3 * batch; ++i) {
-    q.enqueue(i, 0);
-    ASSERT_NE(testing::whitebox::state(q, 0), pinned) << "after enqueue " << i;
-    ASSERT_TRUE(q.dequeue(0).has_value());
-    ASSERT_NE(testing::whitebox::state(q, 0), pinned) << "after dequeue " << i;
-  }
-  EXPECT_GT(q.reclaimer().freed_count(), freed0) << "no scan ran";
-  g.clear(Q::s_desc);
+  EXPECT_EQ(seq() - before, 2u);
+  before = seq();
+  EXPECT_EQ(q.dequeue(0), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(seq() - before, 3u);
+  before = seq();
+  EXPECT_EQ(q.dequeue(0), std::nullopt);
+  EXPECT_EQ(seq() - before, 2u);
+  EXPECT_EQ(whitebox::state(q, 1).ctl, 0u) << "an idle thread's record";
 }
 
-TEST(WfQueueDescCache, AnnouncedDescriptorIsNeverReused) {
-  expect_announced_descriptor_never_reused<wf_queue_opt<std::uint64_t>>();
-  expect_announced_descriptor_never_reused<wf_queue_base<std::uint64_t>>();
-}
-
-TEST(WfQueueDescCache, FastPathOperationsDrawNoDescriptor) {
+TEST(WfQueueRecords, FastPathOperationsLeaveRecordsUntouched) {
   // Uncontended operations of a queue with a fast path complete before the
-  // announce: no descriptor is drawn, cached or fresh, and state[] keeps
-  // the descriptors the constructor installed.
+  // announce: no record moves.
   using Q = wf_queue_fps<std::uint64_t>;
+  using testing::whitebox;
   Q q(2);
-  auto* const state0 = testing::whitebox::state(q, 0);
-  auto* const state1 = testing::whitebox::state(q, 1);
-  const std::uint64_t fresh = q.descriptor_pool().fresh_allocs();
-  const std::size_t cached0 = q.descriptor_pool().cached(0);
+  const std::uint64_t ctl0 = whitebox::state(q, 0).ctl;
+  const std::uint64_t ctl1 = whitebox::state(q, 1).ctl;
   for (std::uint64_t i = 0; i < 2 * q.reclaimer().scan_threshold(); ++i) {
     q.enqueue(i, 0);
     ASSERT_EQ(q.dequeue(i % 2), std::optional<std::uint64_t>(i));
     ASSERT_EQ(q.dequeue(0), std::nullopt);
   }
-  EXPECT_EQ(q.descriptor_pool().fresh_allocs(), fresh);
-  EXPECT_EQ(q.descriptor_pool().cached(0), cached0);
-  EXPECT_EQ(testing::whitebox::state(q, 0), state0);
-  EXPECT_EQ(testing::whitebox::state(q, 1), state1);
+  EXPECT_EQ(whitebox::state(q, 0).ctl, ctl0);
+  EXPECT_EQ(whitebox::state(q, 1).ctl, ctl1);
 }
 
 TEST(WfQueueHelpChunk, WideChunkCompletesEveryStalledPeerInOneOperation) {

@@ -84,9 +84,10 @@ TEST(ShapeRegression, NodeSizesExplainThePaperAsymptote) {
 }
 
 // The fast path folds away at max_tries == 0: the announce-always queues
-// keep the object layout they had as a separate class (x86-64).
-static_assert(sizeof(wf_queue_opt<std::uint64_t>) == 640);
-static_assert(sizeof(wf_queue_base<std::uint64_t>) == 512);
+// carry no fast-path member (x86-64). Both sizes were 128 bytes larger
+// while the queue held a descriptor pool.
+static_assert(sizeof(wf_queue_opt<std::uint64_t>) == 512);
+static_assert(sizeof(wf_queue_base<std::uint64_t>) == 384);
 static_assert(!wf_queue_opt<std::uint64_t>::has_fast_path);
 static_assert(wf_queue_fps<std::uint64_t>::has_fast_path);
 

@@ -32,7 +32,7 @@ constexpr std::size_t kSeg = inner_q::storage_type::max_alloc_bytes;
 TEST(BoundedReject, CapsThenRecoversAfterDrain) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg) + 4 * kSeg;
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n) + 4 * kSeg;
   bq q(n, cfg);
 
   // Fill to rejection; the ceiling must hold at every step.
@@ -63,7 +63,7 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
   constexpr std::uint32_t kProducers = 2;
   constexpr std::uint32_t n = kProducers + 1;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::reject};
-  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg) + 8 * kSeg;
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n) + 8 * kSeg;
   bq q(n, cfg);
 
   constexpr std::uint64_t kAttempts = 20000;
@@ -104,7 +104,7 @@ TEST(BoundedReject, CeilingHoldsUnderMpmcContention) {
 TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = bq::headroom_bytes(n, cfg);
+  const std::size_t h = bq::headroom_bytes(n);
   cfg.max_bytes = bq::floor_bytes(n) + h + 2 * kSeg;
   bq q(n, cfg);
 
@@ -140,7 +140,7 @@ TEST(BoundedBlock, ProducerBlocksUntilConsumerMakesRoom) {
 TEST(BoundedBlock, CloseUnblocksProducersAndDrains) {
   constexpr std::uint32_t n = 2;
   bounded_config cfg{.max_bytes = 0, .policy = full_policy::block};
-  const std::size_t h = bq::headroom_bytes(n, cfg);
+  const std::size_t h = bq::headroom_bytes(n);
   cfg.max_bytes = bq::floor_bytes(n) + h + 2 * kSeg;
   bq q(n, cfg);
 
@@ -183,7 +183,7 @@ TEST(BoundedOverwrite, DropsOldestKeepsNewestSuffix) {
   constexpr std::uint32_t n = 1;
   bounded_config cfg{.max_bytes = 0,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg) + 3 * kSeg;
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n) + 3 * kSeg;
   bq q(n, cfg);
 
   constexpr std::uint64_t kValues = 3000;
@@ -215,7 +215,7 @@ TEST(BoundedOverwrite, DegradesToRejectWhenEmptyButOverCeiling) {
   constexpr std::uint32_t n = 1;
   bounded_config cfg{.max_bytes = 0,
                      .policy = full_policy::overwrite_oldest};
-  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n, cfg);
+  cfg.max_bytes = bq::floor_bytes(n) + bq::headroom_bytes(n);
   bq q(n, cfg);
 
   bool saw_reject = false;

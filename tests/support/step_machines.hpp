@@ -51,7 +51,6 @@ namespace kpq::testing {
 
 using sm_queue = wf_queue_base<std::uint64_t>;
 using sm_node = sm_queue::node_type;
-using sm_desc = sm_queue::desc_type;
 
 /// One logical operation advanced one primitive action per step() call.
 template <typename Q>
@@ -67,7 +66,6 @@ class basic_machine {
 template <typename Q>
 class basic_enq_machine : public basic_machine<Q> {
   using node_t = typename Q::node_type;
-  using desc_t = typename Q::desc_type;
 
  public:
   basic_enq_machine(std::uint32_t tid, std::uint64_t value)
@@ -85,16 +83,15 @@ class basic_enq_machine : public basic_machine<Q> {
         return false;
       }
       case 1: {  // one iteration of the link loop (lines 68-82)
-        desc_t* d = wb::state(q, tid_);
-        if (!d->pending) {
+        const auto s = wb::read(q, tid_);
+        if (!(s.ctl & req::pending)) {
           pc_ = 2;
           return false;
         }
         node_t* last = wb::tail(q);
         node_t* next = last->next.load();
         if (next == nullptr) {
-          node_t* expected = nullptr;
-          last->next.compare_exchange_strong(expected, d->node);  // line 74
+          wb::link(q, tid_, s, tid_);  // line 74, re-validated as help_enq
         } else {
           wb::help_finish_enq(q, tid_);  // line 80
         }
@@ -102,7 +99,7 @@ class basic_enq_machine : public basic_machine<Q> {
       }
       case 2: {  // finish (lines 65 / 75)
         wb::help_finish_enq(q, tid_);
-        if (wb::state(q, tid_)->pending) {
+        if (wb::pending(q, tid_, tid_)) {
           pc_ = 1;
           return false;
         }
@@ -121,7 +118,6 @@ class basic_enq_machine : public basic_machine<Q> {
 template <typename Q>
 class basic_deq_machine : public basic_machine<Q> {
   using node_t = typename Q::node_type;
-  using desc_t = typename Q::desc_type;
 
  public:
   explicit basic_deq_machine(std::uint32_t tid) : tid_(tid) {}
@@ -136,8 +132,8 @@ class basic_deq_machine : public basic_machine<Q> {
         return false;
       }
       case 1: {  // one iteration of the help_deq loop (lines 110-138)
-        desc_t* d = wb::state(q, tid_);
-        if (!d->pending) {
+        const auto s = wb::read(q, tid_);
+        if (!(s.ctl & req::pending)) {
           pc_ = 3;
           return false;
         }
@@ -147,17 +143,14 @@ class basic_deq_machine : public basic_machine<Q> {
         if (first != wb::head(q)) return false;
         if (first == last) {
           if (next == nullptr) {  // empty (lines 116-121)
-            desc_t* fresh = wb::make_desc(q, tid_, d->phase, false, false,
-                                          static_cast<node_t*>(nullptr));
-            wb::swap_state(q, tid_, tid_, d, fresh);
+            wb::move(q, tid_, s, 0, static_cast<node_t*>(nullptr), tid_);
           } else {
             wb::help_finish_enq(q, tid_);  // line 123
           }
           return false;
         }
-        if (d->node != first) {  // stage 0 (lines 129-133)
-          desc_t* fresh = wb::make_desc(q, tid_, d->phase, true, false, first);
-          if (!wb::swap_state(q, tid_, tid_, d, fresh)) return false;
+        if (s.word != reinterpret_cast<std::uintptr_t>(first)) {  // stage 0
+          if (!wb::move(q, tid_, s, req::pending, first, tid_)) return false;
         }
         claimed_ = first;
         pc_ = 2;
@@ -172,13 +165,12 @@ class basic_deq_machine : public basic_machine<Q> {
       }
       case 21: {  // stages 2-3 (line 136)
         wb::help_finish_deq(q, tid_);
-        pc_ = wb::state(q, tid_)->pending ? 1 : 3;
+        pc_ = wb::pending(q, tid_, tid_) ? 1 : 3;
         return false;
       }
       case 3: {  // read the outcome (lines 102-107)
         wb::help_finish_deq(q, tid_);
-        desc_t* d = wb::state(q, tid_);
-        if (d->node != nullptr) this->result = d->value;
+        this->result = wb::result(q, tid_);
         return true;
       }
     }
