@@ -16,6 +16,14 @@
 // co-parked consumer wakes for whatever j still holds. Without this, a
 // select that stashes a re-check hit from one queue while a second queue's
 // producer fires its token would strand that producer's item.
+//
+// Scan order: the ready-path scan (await_ready) starts at a given queue and
+// wraps round once. co_select always starts at queue 0, so callers may use
+// the order for lane priority. async_sharded::co_dequeue_any runs the same
+// loop (detail::select_loop) from a rotating start: the queue after the one
+// that served its previous call, so draining shards does not re-probe the
+// ones already run dry. The park re-check and the post-resume scan keep
+// their orders (0 and the fired queue).
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
@@ -78,6 +86,7 @@ struct select_step {
   const std::vector<async_mpmc<Q>*>& qs;
   std::stop_token st;
   event_loop* exec;
+  std::size_t start;  // first queue of the ready-path scan
 
   std::vector<std::unique_ptr<node>> nodes_{};
   std::atomic<bool> claimed_{false};
@@ -101,8 +110,8 @@ struct select_step {
   std::optional<std::stop_callback<canceller>> stop_cb{};
 
   select_step(const std::vector<async_mpmc<Q>*>& queues, std::stop_token token,
-              event_loop* loop) noexcept
-      : qs(queues), st(std::move(token)), exec(loop) {}
+              event_loop* loop, std::size_t first) noexcept
+      : qs(queues), st(std::move(token)), exec(loop), start(first) {}
   select_step(const select_step&) = delete;
   select_step& operator=(const select_step&) = delete;
 
@@ -147,11 +156,19 @@ struct select_step {
       return true;
     }
     const std::uint32_t tid = this_thread_id();
-    for (std::size_t i = 0; i < qs.size(); ++i) {
+    const std::size_t n = qs.size();
+#if defined(KPQ_MUTANT_SELECT_SHORT_SCAN)
+    const std::size_t visits = n - 1;  // skips the queue before `start`
+#else
+    const std::size_t visits = n;
+#endif
+    std::size_t i = start;
+    for (std::size_t k = 0; k < visits; ++k) {
       if ((value_ = qs[i]->try_dequeue(tid))) {
         index_ = i;
         return true;
       }
+      if (++i == n) i = 0;
     }
     return false;
   }
@@ -223,9 +240,9 @@ struct select_step {
       // Scan starting at the fired queue (its token means it had an item).
       const std::uint32_t tid = this_thread_id();
       const std::size_t n = qs.size();
-      const std::size_t start = fired != select_npos ? fired : 0;
+      const std::size_t from = fired != select_npos ? fired : 0;
       for (std::size_t k = 0; k < n; ++k) {
-        const std::size_t i = (start + k) % n;
+        const std::size_t i = (from + k) % n;
         if (auto v = qs[i]->try_dequeue(tid)) {
           if (fired != select_npos && i != fired) {
             qs[fired]->hub().notify_one();  // re-gift the unused token
@@ -244,22 +261,47 @@ struct select_step {
   std::size_t stash_idx_ = select_npos;
 };
 
+/// The select loop behind co_select and async_sharded::co_dequeue_any:
+/// retries select_step until it serves a value or reports closed/stopped.
+/// `Queues` is the vector itself (co_select: the frame owns a copy) or a
+/// const reference to one that outlives the task (co_dequeue_any: its
+/// member list). With `next_start` the ready-path scan starts at the queue
+/// it names, and a served value moves it to the queue after the server.
+template <typename Q, typename Queues>
+task<select_result<typename Q::value_type>> select_loop(
+    Queues queues, std::stop_token st, std::atomic<std::uint32_t>* next_start) {
+  event_loop* exec = queues.empty() ? nullptr : queues[0]->executor();
+  for (;;) {
+    // A scan-start hint: any value, stale or racing, is a correct start.
+    const std::size_t start =
+        // kpq-order: relaxed pairs-with none (publishes no data)
+        next_start ? next_start->load(std::memory_order_relaxed) : 0;
+    select_step<Q> step(queues, st, exec, start);
+    auto r = co_await step;
+    if (r.value && next_start) {
+      const std::size_t next = r.index + 1;
+      // kpq-order: relaxed pairs-with none (the hint above)
+      next_start->store(
+          static_cast<std::uint32_t>(next == queues.size() ? 0 : next),
+          std::memory_order_relaxed);
+    }
+    if (r.value || !r.open) co_return r;
+  }
+}
+
 }  // namespace detail
 
 /// Await one element from any of `queues`. Retries internally on spurious
 /// wakeups (stolen items); completes with open=false when stopped or when
-/// every queue is closed-and-drained. The executor for posted resumptions
-/// is taken from the first queue (set_executor) — attach the same loop to
-/// all queues multiplexed together.
+/// every queue is closed-and-drained. The ready-path scan starts at queue 0
+/// on every call, so a lower index is a higher priority. The executor for
+/// posted resumptions is taken from the first queue (set_executor) — attach
+/// the same loop to all queues multiplexed together.
 template <typename Q>
 task<select_result<typename Q::value_type>> co_select(
     std::vector<async_mpmc<Q>*> queues, std::stop_token st = {}) {
-  event_loop* exec = queues.empty() ? nullptr : queues[0]->executor();
-  for (;;) {
-    detail::select_step<Q> step(queues, st, exec);
-    auto r = co_await step;
-    if (r.value || !r.open) co_return r;
-  }
+  return detail::select_loop<Q, std::vector<async_mpmc<Q>*>>(
+      std::move(queues), std::move(st), nullptr);
 }
 
 }  // namespace kpq::async

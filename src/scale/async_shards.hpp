@@ -6,15 +6,20 @@
 // composition of N independent async_mpmc shards: enqueues route by the
 // same pluggable shard policies (scale/shard_policy.hpp — key_hash keeps
 // per-key FIFO system-wide, the session-lane guarantee the broker example
-// relies on), and consumers multiplex all shards with co_select, which IS
-// the steal scan in coroutine form (scan starts at the shard whose token
-// woke us; see async/select.hpp on token re-gifting).
+// relies on), and consumers multiplex all shards with co_dequeue_any, which
+// IS the steal scan in coroutine form. It runs co_select's loop
+// (async/select.hpp) in one coroutine frame over the member shard list,
+// with the ready-path scan starting at the shard after the one that served
+// the previous call: a drain serves the shards in turn instead of probing
+// the ones already run dry before every item. The rest of the select
+// protocol (park, re-check, token re-gifting) is co_select's.
 #pragma once
 
 #if !defined(__cpp_impl_coroutine)
 #error "kpq/async requires C++20 coroutines (gate targets on KPQ_HAS_COROUTINES)"
 #endif
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -72,16 +77,21 @@ class async_sharded {
   void enqueue(value_type v) { enqueue(std::move(v), this_thread_id()); }
 
   /// Route by policy and await admission (bounded shards backpressure).
+  /// The shard is chosen when co_enqueue is called, not when the returned
+  /// task is awaited: the task is the shard's own co_enqueue.
   task<bool> co_enqueue(value_type v) {
     const std::uint32_t s =
         policy_.enqueue_shard(this_thread_id(), v) % shard_count();
-    co_return co_await shards_[s]->co_enqueue(std::move(v));
+    return shards_[s]->co_enqueue(std::move(v));
   }
 
-  /// Await an element from ANY shard (co_select multiplex). index in the
-  /// result names the serving shard.
+  /// Await an element from ANY shard (co_select multiplex, rotating start;
+  /// see the header comment). index in the result names the serving shard.
+  /// The task refers to this object's shard list: await it while this
+  /// async_sharded lives.
   task<select_result<value_type>> co_dequeue_any(std::stop_token st = {}) {
-    co_return co_await co_select<Q>(ptrs_, st);
+    return detail::select_loop<Q, const std::vector<shard_type*>&>(
+        ptrs_, std::move(st), &next_start_);
   }
 
   std::optional<value_type> try_dequeue(std::uint32_t tid) {
@@ -103,6 +113,8 @@ class async_sharded {
   Policy policy_;
   std::vector<std::unique_ptr<shard_type>> shards_;
   std::vector<shard_type*> ptrs_;
+  // Where co_dequeue_any's next ready-path scan starts (a hint).
+  std::atomic<std::uint32_t> next_start_{0};
 };
 
 }  // namespace kpq::async

@@ -1,7 +1,13 @@
 // Tests for the coroutine queue front-end: async_mpmc awaitables (fast
 // path, suspend/resume, deadlines), bounded co_enqueue backpressure,
-// co_select multiplexing, the sharded composition, and a mixed
-// threads-and-coroutines run cross-checked by the linearizability checker.
+// co_select multiplexing, the sharded composition and its rotating scan
+// start, and a mixed threads-and-coroutines run cross-checked by the
+// linearizability checker.
+//
+// The AsyncSharded suite is also built with KPQ_MUTANT_SELECT_SHORT_SCAN,
+// whose ready-path scan skips the shard before its start; tests/
+// CMakeLists.txt registers that build as a test that passes only if
+// AsyncSharded.ReadyScanReachesTheShardBeforeItsStart fails under it.
 #include "async/async_queue.hpp"
 
 #include <gtest/gtest.h>
@@ -271,6 +277,119 @@ TEST(AsyncQueue, ShardedCoDequeueAnyDrainsAllShards) {
   producer.join();
   EXPECT_EQ(out.size(), kItems);
   for (std::uint64_t i = 0; i < kItems; ++i) EXPECT_EQ(out.count(i), 1u);
+}
+
+TEST(AsyncQueue, SelectScansFromTheFirstQueueOnEveryCall) {
+  // co_select's order is a priority: while queue 0 holds items, it serves.
+  async_wf q0(4), q1(4);
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    q0.enqueue(i);
+    q1.enqueue(10 + i);
+  }
+  const std::vector<async_wf*> qs{&q0, &q1};
+  std::vector<std::size_t> served;
+  for (int k = 0; k < 6; ++k) {
+    auto t = co_select<wf_queue_opt<std::uint64_t>>(qs);
+    t.start();
+    ASSERT_TRUE(t.done());
+    served.push_back(t.take().index);
+  }
+  EXPECT_EQ(served, (std::vector<std::size_t>{0, 0, 0, 1, 1, 1}));
+}
+
+// ------------------------------------- co_dequeue_any's rotating scan start
+// The ready-path scan starts at the shard after the one that served the
+// previous call. No executor: a ready item completes the task at start().
+// The inner queues count their empty dequeues (wf_options_stats), which is
+// what a scan pays for each shard it finds dry.
+
+using stats_wf = wf_queue<std::uint64_t, help_one, fetch_add_phase, hp_domain,
+                          wf_options_stats>;
+using stats_sharded = async_sharded<stats_wf>;
+
+std::optional<select_result<std::uint64_t>> dequeue_any_inline(
+    stats_sharded& s) {
+  auto t = s.co_dequeue_any();
+  t.start();
+  if (!t.done()) return std::nullopt;  // parked: nothing was ready
+  return t.take();
+}
+
+std::uint64_t empty_probes(const stats_sharded& s) {
+  std::uint64_t n = 0;
+  for (auto* shard : s.shard_ptrs()) {
+    n += shard->queue().aggregate_counters().empty_deqs;
+  }
+  return n;
+}
+
+std::uint64_t hub_parks(const stats_sharded& s) {
+  std::uint64_t n = 0;
+  for (auto* shard : s.shard_ptrs()) n += shard->hub().stats().parks;
+  return n;
+}
+
+TEST(AsyncSharded, DrainMakesNoEmptyProbeWhileItemsRemain) {
+  constexpr std::uint32_t kShards = 4;
+  constexpr std::uint64_t kPerShard = 64;
+  constexpr std::uint64_t kItems = kShards * kPerShard;
+  stats_sharded shards(kShards, 4);
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    shards.shard(i % kShards).enqueue(i);
+  }
+  std::vector<int> seen(kItems, 0);
+  for (std::uint64_t i = 0; i < kItems; ++i) {
+    auto r = dequeue_any_inline(shards);
+    ASSERT_TRUE(r && r->value) << "item " << i << " was not ready";
+    ASSERT_LT(*r->value, kItems);
+    ++seen[*r->value];
+  }
+  for (std::uint64_t i = 0; i < kItems; ++i) EXPECT_EQ(seen[i], 1) << i;
+  // A scan from shard 0 on every call would probe each drained shard again
+  // before every later item: about 1.5 * kShards * kPerShard empty probes.
+  EXPECT_LE(empty_probes(shards), kShards);
+  EXPECT_EQ(hub_parks(shards), 0u);
+}
+
+TEST(AsyncSharded, CoDequeueAnyRotatesAcrossNonEmptyShards) {
+  constexpr std::uint32_t kShards = 4;
+  stats_sharded shards(kShards, 4);
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    for (std::uint64_t i = 0; i < 3; ++i) shards.shard(s).enqueue(s * 10 + i);
+  }
+  for (int round = 0; round < 3; ++round) {
+    std::set<std::size_t> servers;
+    for (std::uint32_t k = 0; k < kShards; ++k) {
+      auto r = dequeue_any_inline(shards);
+      ASSERT_TRUE(r && r->value);
+      EXPECT_EQ(*r->value / 10, r->index) << "value came from another shard";
+      servers.insert(r->index);
+    }
+    EXPECT_EQ(servers.size(), kShards) << "round " << round;
+  }
+  EXPECT_EQ(empty_probes(shards), 0u);
+}
+
+TEST(AsyncSharded, ReadyScanReachesTheShardBeforeItsStart) {
+  // After shard j serves, the next scan starts at j + 1 and visits j last.
+  // An item left only in shard j must still be found by that scan, without
+  // parking and re-checking: kShards - 1 empty probes, no park.
+  constexpr std::uint32_t kShards = 4;
+  stats_sharded shards(kShards, 4);
+  for (std::uint32_t j = 0; j < kShards; ++j) {
+    shards.shard(j).enqueue(2 * j);
+    auto first = dequeue_any_inline(shards);
+    ASSERT_TRUE(first && first->value);
+    ASSERT_EQ(first->index, j);
+    shards.shard(j).enqueue(2 * j + 1);
+    const std::uint64_t probes = empty_probes(shards);
+    auto second = dequeue_any_inline(shards);
+    ASSERT_TRUE(second && second->value);
+    EXPECT_EQ(second->index, j);
+    EXPECT_EQ(*second->value, 2 * j + 1);
+    EXPECT_EQ(empty_probes(shards) - probes, kShards - 1) << "shard " << j;
+    EXPECT_EQ(hub_parks(shards), 0u) << "shard " << j;
+  }
 }
 
 // Mixed mode: plain producer THREADS, coroutine consumers, one history.

@@ -12,13 +12,14 @@
 //   * fps ordering: the fast-path/slow-path queue lands between LF and the
 //     announce-always variants.
 //
-// Timing-based checks use generous margins (2x) so scheduler noise on
-// loaded CI machines cannot flip them.
+// Timing-based checks use generous margins (the ordering itself, or 1.3x)
+// so scheduler noise on loaded CI machines cannot flip them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "baseline/ms_queue.hpp"
 #include "core/wf_queue.hpp"
@@ -54,6 +55,21 @@ double pairs_seconds(std::uint32_t threads, std::uint64_t iters) {
     best = std::min(best, pairs_seconds_once<Q>(threads, iters));
   }
   return best;
+}
+
+/// Best-of-5 of two queues, their runs alternated: load that arrives
+/// mid-comparison (other tests under ctest -j) slows both sides' runs
+/// instead of only the ones that ran under it.
+template <typename A, typename B>
+std::pair<double, double> pairs_seconds_alternated(std::uint32_t threads,
+                                                   std::uint64_t iters) {
+  double a = pairs_seconds_once<A>(threads, iters);
+  double b = pairs_seconds_once<B>(threads, iters);
+  for (int r = 0; r < 4; ++r) {
+    a = std::min(a, pairs_seconds_once<A>(threads, iters));
+    b = std::min(b, pairs_seconds_once<B>(threads, iters));
+  }
+  return {a, b};
 }
 
 TEST(ShapeRegression, Figure10SpaceRatioApproachesOnePointFive) {
@@ -92,10 +108,18 @@ static_assert(!wf_queue_opt<std::uint64_t>::has_fast_path);
 static_assert(wf_queue_fps<std::uint64_t>::has_fast_path);
 
 TEST(ShapeRegression, LockFreeBeatsBaseWaitFreeOnPairs) {
-  const double lf = pairs_seconds<ms_queue<std::uint64_t>>(8, 3000);
-  const double base_wf = pairs_seconds<wf_queue_base<std::uint64_t>>(8, 3000);
-  EXPECT_LT(lf * 2.0, base_wf)
-      << "LF should beat base WF by far more than 2x at oversubscription";
+  // Base WF / LF on a 4-core x86-64 guest, 20 runs of each loop: best-of-3
+  // for LF, then best-of-3 for base WF, read 2.35-2.85 alone but 1.23-2.98
+  // beside ctest -j4 (load that lands on LF's runs alone inflates its
+  // best), so a 2x bound failed one run in five there. With the runs
+  // alternated (below) it reads 2.59-2.72 alone and 2.08-12.2 under load;
+  // 2.13-3.32 and 1.79-3.17 under ASan NDEBUG. The bound is the ordering
+  // itself: 1.79x of margin at the worst of those 80 runs.
+  const auto [lf, base_wf] =
+      pairs_seconds_alternated<ms_queue<std::uint64_t>,
+                               wf_queue_base<std::uint64_t>>(8, 3000);
+  EXPECT_LT(lf, base_wf)
+      << "LF should beat base WF at oversubscription (typically 2.6-2.7x)";
 }
 
 TEST(ShapeRegression, OptimizedVariantDoesNotLoseToBase) {
